@@ -1,6 +1,8 @@
 #include "engine/cost_model.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace pitract {
 namespace engine {
@@ -25,7 +27,7 @@ void CostModel::ForceWitness(int index) {
 
 int CostModel::Select(const std::vector<Candidate>& candidates,
                       size_t data_bytes, uint64_t part_fingerprint,
-                      double byte_pressure) const {
+                      double byte_pressure, int incumbent) const {
   if (candidates.empty()) return 0;
   const Policy policy = policy_.load(std::memory_order_relaxed);
   if (policy == Policy::kPrimaryOnly) return 0;
@@ -39,6 +41,7 @@ int CostModel::Select(const std::vector<Candidate>& candidates,
 
   int best = 0;
   double best_score = 0.0;
+  double incumbent_score = 0.0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
     CostDescriptor fallback;
@@ -46,15 +49,11 @@ int CostModel::Select(const std::vector<Candidate>& candidates,
                                                       : fallback;
     double build = d.BuildOps(data_bytes);
     double answer = d.AnswerOps(data_bytes);
-    double bytes = d.Bytes(data_bytes);
+    const double bytes = ExpectedBytes(c, data_bytes);
     if (c.profile != nullptr) {
       if (c.profile->build_count() > 0) {
         build = Blend(build,
                       c.profile->MeasuredBuildOpsPerByte() *
-                          static_cast<double>(data_bytes),
-                      true);
-        bytes = Blend(bytes,
-                      c.profile->MeasuredBytesPerByte() *
                           static_cast<double>(data_bytes),
                       true);
       }
@@ -64,33 +63,62 @@ int CostModel::Select(const std::vector<Candidate>& candidates,
     }
     const double score = (c.resident ? 0.0 : build) + expected_q * answer +
                          pressure * bytes * 0.25;
+    if (static_cast<int>(i) == incumbent) incumbent_score = score;
     if (i == 0 || score < best_score) {
       best = static_cast<int>(i);
       best_score = score;
     }
   }
+  if (incumbent >= 0 && incumbent < static_cast<int>(candidates.size()) &&
+      best != incumbent &&
+      best_score >= (1.0 - kSwitchMargin) * incumbent_score) {
+    return incumbent;
+  }
   return best;
+}
+
+double CostModel::ExpectedBytes(const Candidate& candidate,
+                                size_t data_bytes) {
+  const double prior = candidate.descriptor != nullptr
+                           ? candidate.descriptor->Bytes(data_bytes)
+                           : CostDescriptor().Bytes(data_bytes);
+  const bool measured =
+      candidate.profile != nullptr && candidate.profile->build_count() > 0;
+  return Blend(prior,
+               measured ? candidate.profile->MeasuredBytesPerByte() *
+                              static_cast<double>(data_bytes)
+                        : 0.0,
+               measured);
+}
+
+void CostModel::TrimColdest() {
+  // One nth_element partitions the tracked parts around the median
+  // traffic; the lower half goes. A trim runs once per kMaxTrackedParts / 2
+  // new parts, so its O(kMaxTrackedParts) cost is amortized O(1).
+  std::vector<std::pair<int64_t, uint64_t>> by_traffic;
+  by_traffic.reserve(traffic_.size());
+  for (const auto& [fp, count] : traffic_) by_traffic.emplace_back(count, fp);
+  const auto cut =
+      by_traffic.begin() + static_cast<std::ptrdiff_t>(kMaxTrackedParts / 2);
+  std::nth_element(by_traffic.begin(), cut, by_traffic.end());
+  for (auto it = by_traffic.begin(); it != cut; ++it) {
+    total_traffic_ -= it->first;
+    traffic_.erase(it->second);
+    choice_.erase(it->second);
+  }
 }
 
 bool CostModel::NoteTraffic(uint64_t part_fingerprint, int64_t queries) {
   if (queries <= 0) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  int64_t& bucket = traffic_[part_fingerprint];
-  if (bucket == 0) {
-    // Bounded tracking: past the cap, halve by dropping the coldest half's
-    // worth of entries wholesale (cheap, approximate — the map is advisory).
-    if (static_cast<size_t>(++tracked_parts_) > kMaxTrackedParts) {
-      size_t dropped = 0;
-      for (auto it = traffic_.begin();
-           it != traffic_.end() && dropped < kMaxTrackedParts / 2;) {
-        total_traffic_ -= it->second;
-        choice_.erase(it->first);
-        it = traffic_.erase(it);
-        ++dropped;
-      }
-      tracked_parts_ -= static_cast<int64_t>(dropped);
-    }
+  auto it = traffic_.find(part_fingerprint);
+  if (it == traffic_.end()) {
+    // Bounded tracking: make room before inserting, so the trim can never
+    // drop the part being counted.
+    if (traffic_.size() >= kMaxTrackedParts) TrimColdest();
+    it = traffic_.emplace(part_fingerprint, 0).first;
   }
+  int64_t& bucket = it->second;
   const int64_t before = bucket;
   bucket += queries;
   total_traffic_ += queries;
@@ -111,10 +139,7 @@ void CostModel::CarryTraffic(uint64_t old_fingerprint,
   if (it == traffic_.end()) return;
   const int64_t carried = it->second;
   traffic_.erase(it);
-  int64_t& bucket = traffic_[new_fingerprint];
-  if (bucket == 0) ++tracked_parts_;
-  bucket += carried;
-  --tracked_parts_;  // old entry went away
+  traffic_[new_fingerprint] += carried;
   auto ch = choice_.find(old_fingerprint);
   if (ch != choice_.end()) {
     choice_[new_fingerprint] = ch->second;
@@ -151,9 +176,9 @@ double CostModel::ExpectedQueries(uint64_t part_fingerprint) const {
   // part that turns hot; starting on the expensive side risks an
   // unamortized build on every cold part — under skewed traffic the
   // global average is inflated by the head and would do exactly that.
-  if (tracked_parts_ > 0 && total_traffic_ > 0) {
+  if (!traffic_.empty() && total_traffic_ > 0) {
     return std::min(16.0, static_cast<double>(total_traffic_) /
-                              static_cast<double>(tracked_parts_));
+                              static_cast<double>(traffic_.size()));
   }
   return 16.0;
 }

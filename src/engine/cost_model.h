@@ -57,12 +57,14 @@ struct CostDescriptor {
 /// telemetry feeding the solver, never synchronization.
 class CostProfile {
  public:
-  void RecordBuild(size_t data_bytes, size_t prepared_bytes, int64_t ops) {
+  /// `resident_bytes` is what the store charged the built entry against
+  /// its byte budget: payload estimate plus decoded view.
+  void RecordBuild(size_t data_bytes, size_t resident_bytes, int64_t ops) {
     build_count_.fetch_add(1, std::memory_order_relaxed);
     build_ops_.fetch_add(ops, std::memory_order_relaxed);
     build_bytes_in_.fetch_add(static_cast<int64_t>(data_bytes),
                               std::memory_order_relaxed);
-    build_bytes_out_.fetch_add(static_cast<int64_t>(prepared_bytes),
+    build_bytes_out_.fetch_add(static_cast<int64_t>(resident_bytes),
                                std::memory_order_relaxed);
   }
   void RecordAnswer(int64_t queries, int64_t ops) {
@@ -91,7 +93,7 @@ class CostProfile {
     return static_cast<double>(build_ops_.load(std::memory_order_relaxed)) /
            static_cast<double>(in);
   }
-  /// Measured prepared-payload bytes per input byte.
+  /// Measured resident bytes (payload plus view) per input byte.
   double MeasuredBytesPerByte() const {
     const int64_t in = build_bytes_in_.load(std::memory_order_relaxed);
     if (in <= 0) return 0.0;
@@ -118,16 +120,16 @@ class CostProfile {
   std::atomic<int64_t> patch_ops_{0};
 };
 
-/// The witness-selection solver (ROADMAP item 4, PIMProf-CostSolver shape):
-/// enumerate the registered alternatives for a problem against a blend of
-/// static descriptors and measured CostProfiles, and pick the cheapest
-/// expected total for this data part. Selection happens off the warm path
-/// only — at Intern/cold-miss/re-key time — so the published-snapshot hit
-/// path never consults the model.
+/// The witness-selection solver (PIMProf-CostSolver shape): enumerate the
+/// registered alternatives for a problem against a blend of static
+/// descriptors and measured CostProfiles, and pick the cheapest expected
+/// total for this data part. A part is scored at admission (Intern, a
+/// string-keyed batch with no cached choice) and again, with the serving
+/// witness as incumbent, each time its traffic crosses a doubling
+/// boundary; the published-snapshot hit path never scores.
 ///
 /// Thread-safe: the per-part traffic and choice maps are guarded by one
-/// mutex; every caller is already on a miss/admission/delta path where a
-/// short critical section is noise.
+/// mutex.
 class CostModel {
  public:
   /// kPrimaryOnly (default) preserves the pre-adaptive behavior exactly:
@@ -158,16 +160,27 @@ class CostModel {
   /// where each estimate blends the static descriptor with the measured
   /// profile averages once the profile has data. `byte_pressure` ∈ [0,1]
   /// is the store's budget-fullness; under pressure, byte-hungry witnesses
-  /// are penalized. Under kPrimaryOnly/kForced this reduces to the pinned
-  /// index. Never returns out of range; returns 0 for an empty list only
-  /// by convention (callers always pass ≥1 candidate).
+  /// are penalized. Hysteresis: when `incumbent` names a candidate (the
+  /// witness a part is served from now), a challenger wins only if its
+  /// score undercuts the incumbent's by more than kSwitchMargin, so a
+  /// part near a crossover does not flip back and forth. Under
+  /// kPrimaryOnly/kForced this reduces to the pinned index. Never returns
+  /// out of range; returns 0 for an empty list only by convention
+  /// (callers always pass ≥1 candidate).
   int Select(const std::vector<Candidate>& candidates, size_t data_bytes,
-             uint64_t part_fingerprint, double byte_pressure) const;
+             uint64_t part_fingerprint, double byte_pressure,
+             int incumbent = -1) const;
+
+  /// Expected resident bytes of `candidate` for a |D| = data_bytes part:
+  /// the descriptor's prior, blended with the bytes the store measured
+  /// for the candidate's builds once it has any.
+  static double ExpectedBytes(const Candidate& candidate, size_t data_bytes);
 
   /// Records `queries` answered against a data part. Returns true when the
   /// accumulated traffic crossed a power-of-two boundary at or above
-  /// kReselectFloor — the caller's cue to re-run Select for this part
-  /// (small-D parts that turn hot graduate to the fast-answer Π).
+  /// kReselectFloor: the engine's cue to score the part again against its
+  /// serving witness and, when another candidate wins, queue a warm
+  /// upgrade build for it (see QueryEngine::RunPendingUpgrade).
   bool NoteTraffic(uint64_t part_fingerprint, int64_t queries);
 
   /// Re-keys accumulated traffic across a delta (D → D ⊕ ΔD): the
@@ -177,23 +190,31 @@ class CostModel {
 
   int64_t TrafficFor(uint64_t part_fingerprint) const;
 
-  /// Sticky per-part choice cache: remembers which candidate index a part
-  /// selected so the string-keyed admission path reuses it without
-  /// re-scoring. -1 = no cached choice.
+  /// Sticky per-part choice cache: the candidate index a part is served
+  /// from, so string-keyed batches, Intern and ApplyDelta reuse it without
+  /// re-scoring. Set at first selection and switched only by a completed
+  /// warm upgrade. -1 = no cached choice.
   int ChoiceFor(uint64_t part_fingerprint) const;
   void SetChoice(uint64_t part_fingerprint, int index);
 
   /// Minimum traffic before doubling triggers fire (avoids re-selecting on
   /// every one of the first few batches).
   static constexpr int64_t kReselectFloor = 32;
+  /// Hysteresis of Select: the share of the incumbent's expected cost a
+  /// challenger must save before a served part switches witness.
+  static constexpr double kSwitchMargin = 0.25;
+  /// Bound on tracked parts. Past it, the colder half (by traffic) is
+  /// dropped together with its sticky choices.
+  static constexpr size_t kMaxTrackedParts = 1 << 16;
 
  private:
   /// Expected queries for the next residency interval of this part: its
   /// recorded traffic when we have it, else the model-wide average, else a
   /// modest prior.
   double ExpectedQueries(uint64_t part_fingerprint) const;
-
-  static constexpr size_t kMaxTrackedParts = 1 << 16;
+  /// Drops the kMaxTrackedParts / 2 parts with the least traffic. Requires
+  /// mutex_ held.
+  void TrimColdest();
 
   std::atomic<Policy> policy_{Policy::kPrimaryOnly};
   std::atomic<int> forced_{0};
@@ -202,7 +223,6 @@ class CostModel {
   std::unordered_map<uint64_t, int64_t> traffic_;
   std::unordered_map<uint64_t, int> choice_;
   int64_t total_traffic_ = 0;
-  int64_t tracked_parts_ = 0;
 };
 
 }  // namespace engine

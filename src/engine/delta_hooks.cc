@@ -176,6 +176,22 @@ Result<graph::Graph> DecodeDirectedGraphDataPart(const std::string& data) {
   return g;
 }
 
+/// The closure witness's decoded view: the descendant rows of the
+/// closure image, probed in place. It shares the payload and copies none
+/// of it, so a resident closure costs its payload alone and a view build
+/// is a header check.
+struct ClosureView {
+  std::shared_ptr<const std::string> image;
+  const unsigned char* rows = nullptr;
+  int64_t n = 0;
+  int64_t words_per_row = 0;
+
+  bool Reachable(int64_t u, int64_t v) const {
+    return incremental::IncrementalTransitiveClosure::ImageReachable(
+        rows, words_per_row, u, v);
+  }
+};
+
 }  // namespace
 
 core::PiWitness ReachClosureWitness() {
@@ -199,33 +215,35 @@ core::PiWitness ReachClosureWitness() {
     return incremental::IncrementalTransitiveClosure::ReachableInSerialized(
         prepared, q->first, q->second);
   };
-  // Decoded view: the rehydrated closure object — a warm query is one
-  // charged bit probe, no per-query image validation or offset decode.
+  // Decoded view: the image validated once, so a warm query is one
+  // charged bit probe with no per-query header check.
   w.deserialize = [](const std::shared_ptr<const std::string>& prepared,
                      CostMeter*) -> Result<core::PiViewPtr> {
-    auto tc =
-        incremental::IncrementalTransitiveClosure::Deserialize(*prepared);
-    if (!tc.ok()) return tc.status();
-    return core::PiViewPtr(
-        std::make_shared<incremental::IncrementalTransitiveClosure>(
-            std::move(*tc)));
+    auto layout =
+        incremental::IncrementalTransitiveClosure::ReadImageLayout(*prepared);
+    if (!layout.ok()) return layout.status();
+    auto view = std::make_shared<ClosureView>();
+    view->image = prepared;
+    view->rows = reinterpret_cast<const unsigned char*>(prepared->data()) +
+                 incremental::IncrementalTransitiveClosure::kImageRowsOffset;
+    view->n = layout->n;
+    view->words_per_row = layout->words_per_row;
+    return core::PiViewPtr(std::move(view));
   };
   w.answer_view = [](const void* view, const std::string& query,
                      CostMeter* meter) -> Result<bool> {
-    const auto& tc =
-        *static_cast<const incremental::IncrementalTransitiveClosure*>(view);
+    const auto& tc = *static_cast<const ClosureView*>(view);
     auto q = core::DecodeIntPairQuery(query, "reach query");
     if (!q.ok()) return q.status();
-    if (q->first < 0 || q->first >= tc.num_nodes() || q->second < 0 ||
-        q->second >= tc.num_nodes()) {
+    if (q->first < 0 || q->first >= tc.n || q->second < 0 ||
+        q->second >= tc.n) {
       return Status::OutOfRange("node id out of range");
     }
     if (meter != nullptr) {
       meter->AddSerial(1);
       meter->AddBytesRead(8);
     }
-    return tc.Reachable(static_cast<graph::NodeId>(q->first),
-                        static_cast<graph::NodeId>(q->second), nullptr);
+    return tc.Reachable(q->first, q->second);
   };
   // Batch layer: branchless word probes straight into the closure bitset —
   // range checks accumulate into one flag, the meter is charged once.
@@ -239,26 +257,22 @@ core::PiWitness ReachClosureWitness() {
   };
   w.answer_view_decoded = [](const void* view, const core::DecodedQuery& query,
                              CostMeter* meter) -> Result<bool> {
-    const auto& tc =
-        *static_cast<const incremental::IncrementalTransitiveClosure*>(view);
-    if (query.a < 0 || query.a >= tc.num_nodes() || query.b < 0 ||
-        query.b >= tc.num_nodes()) {
+    const auto& tc = *static_cast<const ClosureView*>(view);
+    if (query.a < 0 || query.a >= tc.n || query.b < 0 || query.b >= tc.n) {
       return Status::OutOfRange("node id out of range");
     }
     if (meter != nullptr) {
       meter->AddSerial(1);
       meter->AddBytesRead(8);
     }
-    return tc.ReachableUnchecked(static_cast<graph::NodeId>(query.a),
-                                 static_cast<graph::NodeId>(query.b));
+    return tc.Reachable(query.a, query.b);
   };
   w.answer_view_batch = [](const void* view,
                            std::span<const core::DecodedQuery> queries,
                            std::span<uint8_t> answers,
                            CostMeter* meter) -> Status {
-    const auto& tc =
-        *static_cast<const incremental::IncrementalTransitiveClosure*>(view);
-    const uint64_t n = static_cast<uint64_t>(tc.num_nodes());
+    const auto& tc = *static_cast<const ClosureView*>(view);
+    const uint64_t n = static_cast<uint64_t>(tc.n);
     if (n == 0) {
       return queries.empty() ? Status::OK()
                              : Status::OutOfRange("node id out of range");
@@ -268,9 +282,9 @@ core::PiWitness ReachClosureWitness() {
       const uint64_t u = static_cast<uint64_t>(queries[i].a);
       const uint64_t v = static_cast<uint64_t>(queries[i].b);
       bad |= (u >= n) | (v >= n);
-      const auto ui = static_cast<graph::NodeId>(u < n ? u : 0);
-      const auto vi = static_cast<graph::NodeId>(v < n ? v : 0);
-      answers[i] = static_cast<uint8_t>(tc.ReachableUnchecked(ui, vi));
+      const auto ui = static_cast<int64_t>(u < n ? u : 0);
+      const auto vi = static_cast<int64_t>(v < n ? v : 0);
+      answers[i] = static_cast<uint8_t>(tc.Reachable(ui, vi));
     }
     if (bad != 0) return Status::OutOfRange("node id out of range");
     if (meter != nullptr && !queries.empty()) {

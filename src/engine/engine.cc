@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/failpoint.h"
+
 namespace pitract {
 namespace engine {
 
@@ -55,55 +57,63 @@ PreparedStore::EntryOptions MakeEntryOptions(
   return options;
 }
 
+/// The store's ComputeFn for Π(data) under `witness`. On success the
+/// charged build ops land in `*build_ops`, so the caller can record the
+/// build once the store has charged the entry (see RecordMeasuredBuild).
+PreparedStore::ComputeFn MeasuredCompute(const core::PiWitness& witness,
+                                         const std::string& data,
+                                         int64_t* build_ops) {
+  return [&witness, &data, build_ops](CostMeter* m) -> Result<std::string> {
+    CostMeter local;
+    auto built = witness.preprocess(data, &local);
+    if (m != nullptr) m->MergeFrom(local);
+    if (built.ok()) *build_ops = local.work();
+    return built;
+  };
+}
+
+/// Feeds a build that ran into the witness's profile, with the bytes the
+/// store charged for the entry (payload plus view) as its measured size.
+void RecordMeasuredBuild(CostProfile* profile, size_t data_bytes,
+                         const PreparedStore::PreparedView& view,
+                         int64_t build_ops) {
+  if (profile != nullptr && build_ops >= 0) {
+    profile->RecordBuild(data_bytes, view.charged_bytes, build_ops);
+  }
+}
+
 /// Σ*-string path: Π through the PreparedStore, answers via the *selected*
 /// witness (primary or a registered alternative) — through the memoized
 /// decoded view when that witness provides one, else via the string
-/// `answer` hook. The caller resolves which witness a key/data pair uses
-/// and hands in its hooks, entry options, and measured-cost profile.
+/// `answer` hook. The caller resolves which witness a key names and hands
+/// in its hooks, entry options, and measured-cost profile.
 class WitnessBatchPath : public BatchPath {
  public:
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile,
+  /// Blocking flavor: Π(data) under `key`, which the caller built (or took
+  /// from a handle's route) and which names `witness`.
+  WitnessBatchPath(const core::PiWitness& witness, CostProfile* profile,
                    PreparedStore::EntryOptions entry_options,
                    PreparedStore* store, const std::string& data,
+                   const PreparedStore::Key& key,
                    std::span<const std::string> queries,
-                   const AnswerOptions& options = {})
-      : entry_(entry),
-        witness_(witness),
+                   const AnswerOptions& options)
+      : witness_(witness),
         profile_(profile),
         entry_options_(std::move(entry_options)),
         store_(store),
         data_(&data),
-        queries_(queries),
-        options_(options) {}
-  /// Pre-admitted flavor: reuses the handle's key, so Prepare does zero
-  /// O(|D|) key work.
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile,
-                   PreparedStore::EntryOptions entry_options,
-                   PreparedStore* store, const DataHandle& handle,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options = {})
-      : entry_(entry),
-        witness_(witness),
-        profile_(profile),
-        entry_options_(std::move(entry_options)),
-        store_(store),
-        data_(handle.data.get()),
-        key_(&handle.key),
+        key_(&key),
         queries_(queries),
         options_(options) {}
   /// Warm-probe flavor (TryAnswerWarm): the caller already fetched the
   /// entry's PreparedView from the published snapshot, so Prepare charges
   /// the probe op and serves it — no second store lookup, no second hit
   /// counted.
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile, PreparedStore* store,
-                   PreparedStore::PreparedView prefetched,
+  WitnessBatchPath(const core::PiWitness& witness, CostProfile* profile,
+                   PreparedStore* store, PreparedStore::PreparedView prefetched,
                    std::span<const std::string> queries,
                    const AnswerOptions& options)
-      : entry_(entry),
-        witness_(witness),
+      : witness_(witness),
         profile_(profile),
         store_(store),
         queries_(queries),
@@ -122,25 +132,12 @@ class WitnessBatchPath : public BatchPath {
       return PrepareOutcome{/*ran_pi=*/false, /*cache_hit=*/true};
     }
     bool hit = false;
-    // Π runs against a local meter first so the measured build cost can be
-    // recorded into the witness's CostProfile; MergeFrom is an exact
-    // sequential fold, so the caller's meter sees identical charges.
-    auto compute = [this](CostMeter* m) -> Result<std::string> {
-      CostMeter local;
-      auto built = witness_.preprocess(*data_, &local);
-      if (m != nullptr) m->MergeFrom(local);
-      if (built.ok() && profile_ != nullptr) {
-        profile_->RecordBuild(data_->size(), built->size(), local.work());
-      }
-      return built;
-    };
-    auto prepared =
-        key_ != nullptr
-            ? store_->GetOrComputeView(*key_, compute, meter, &hit,
-                                       entry_options_)
-            : store_->GetOrComputeView(entry_.name, witness_.name, *data_,
-                                       compute, meter, &hit, entry_options_);
+    int64_t build_ops = -1;
+    auto prepared = store_->GetOrComputeView(
+        *key_, MeasuredCompute(witness_, *data_, &build_ops), meter, &hit,
+        entry_options_);
     if (!prepared.ok()) return prepared.status();
+    RecordMeasuredBuild(profile_, data_->size(), *prepared, build_ops);
     prepared_ = std::move(prepared->prepared);
     view_ = std::move(prepared->view);
     return PrepareOutcome{/*ran_pi=*/!hit, /*cache_hit=*/hit};
@@ -224,7 +221,6 @@ class WitnessBatchPath : public BatchPath {
   }
 
  private:
-  const ProblemEntry& entry_;
   const core::PiWitness& witness_;
   CostProfile* profile_ = nullptr;
   PreparedStore::EntryOptions entry_options_;
@@ -285,6 +281,17 @@ QueryEngine::QueryEngine(const PreparedStore::Options& store_options,
 
 uint64_t QueryEngine::PartFingerprint(std::string_view data) {
   return Fnv1a64(data);
+}
+
+WitnessRoute::WitnessRoute(PreparedStore::Key key) {
+  keys_.push_back(std::make_unique<const PreparedStore::Key>(std::move(key)));
+  current_.store(keys_.back().get(), std::memory_order_release);
+}
+
+void WitnessRoute::Switch(PreparedStore::Key key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  keys_.push_back(std::make_unique<const PreparedStore::Key>(std::move(key)));
+  current_.store(keys_.back().get(), std::memory_order_release);
 }
 
 QueryEngine::SelectedWitness QueryEngine::CandidateAt(
@@ -362,36 +369,125 @@ QueryEngine::SelectedWitness QueryEngine::SelectWitness(
                  store_.Contains(entry.name, s.witness->name, *data);
     candidates.push_back(c);
   }
-  double pressure = 0.0;
-  if (store_.options().byte_budget > 0) {
-    pressure = std::min(
-        1.0, static_cast<double>(store_.bytes_resident()) /
-                 static_cast<double>(store_.options().byte_budget));
-  }
-  const int choice =
-      cost_model_.Select(candidates, data_bytes, part_fingerprint, pressure);
+  const int choice = cost_model_.Select(candidates, data_bytes,
+                                        part_fingerprint, BytePressure());
   if (policy == CostModel::Policy::kAdaptive && part_fingerprint != 0) {
     cost_model_.SetChoice(part_fingerprint, choice);
   }
   return CandidateAt(entry, choice);
 }
 
-void QueryEngine::NoteAnswered(const ProblemEntry& entry,
-                               const SelectedWitness& selected,
-                               uint64_t part_fingerprint, size_t data_bytes,
-                               int64_t queries, int64_t answer_ops) {
-  (void)data_bytes;
+double QueryEngine::BytePressure() const {
+  if (store_.options().byte_budget == 0) return 0.0;
+  return std::min(1.0, static_cast<double>(store_.bytes_resident()) /
+                           static_cast<double>(store_.options().byte_budget));
+}
+
+int QueryEngine::NoteAnswered(const ProblemEntry& entry,
+                              const SelectedWitness& selected,
+                              uint64_t part_fingerprint, size_t data_bytes,
+                              int64_t queries, int64_t answer_ops) {
   if (selected.profile != nullptr && queries > 0) {
     selected.profile->RecordAnswer(queries, answer_ops);
   }
-  if (entry.alternatives.empty() || part_fingerprint == 0) return;
-  if (cost_model_.policy() != CostModel::Policy::kAdaptive) return;
-  if (cost_model_.NoteTraffic(part_fingerprint, queries)) {
-    // Doubling boundary crossed: invalidate the sticky choice so the next
-    // admission re-scores with the fresh traffic count (a small part that
-    // turned hot graduates to the fast-answer Π at its next cold miss).
-    cost_model_.SetChoice(part_fingerprint, -1);
+  if (entry.alternatives.empty() || part_fingerprint == 0) return -1;
+  if (cost_model_.policy() != CostModel::Policy::kAdaptive) return -1;
+  if (!cost_model_.NoteTraffic(part_fingerprint, queries)) return -1;
+  // Doubling boundary crossed: score the part again with the fresh traffic
+  // count. The witness this batch was answered from is resident by
+  // construction and is the incumbent; every other candidate is priced
+  // with its build, so no store probe runs here.
+  std::vector<CostModel::Candidate> candidates;
+  candidates.reserve(entry.alternatives.size() + 1);
+  for (int i = 0; i <= static_cast<int>(entry.alternatives.size()); ++i) {
+    const SelectedWitness s = CandidateAt(entry, i);
+    candidates.push_back(
+        {s.witness->name, s.descriptor, s.profile, i == selected.index});
   }
+  const int target =
+      cost_model_.Select(candidates, data_bytes, part_fingerprint,
+                         BytePressure(), selected.index);
+  if (target == selected.index) return -1;
+  // Charge the upgrade against the byte budget: growth the budget has no
+  // room for would only evict other warm parts, whose rebuilds cost more
+  // than this part's faster answers save.
+  const size_t budget = store_.options().byte_budget;
+  if (budget > 0) {
+    const double growth =
+        CostModel::ExpectedBytes(candidates[static_cast<size_t>(target)],
+                                 data_bytes) -
+        CostModel::ExpectedBytes(
+            candidates[static_cast<size_t>(selected.index)], data_bytes);
+    if (growth > 0 && static_cast<double>(store_.bytes_resident()) + growth >
+                          static_cast<double>(budget)) {
+      return -1;
+    }
+  }
+  std::lock_guard<std::mutex> lock(upgrade_mutex_);
+  if (!upgrading_.insert(part_fingerprint).second) return -1;
+  return target;
+}
+
+void QueryEngine::QueueUpgrade(UpgradeJob job) {
+  std::lock_guard<std::mutex> lock(upgrade_mutex_);
+  upgrade_queue_.push_back(std::move(job));
+  queued_upgrades_.fetch_add(1);
+}
+
+UpgradeOutcome QueryEngine::RunPendingUpgrade(CostMeter* meter) {
+  UpgradeOutcome outcome;
+  UpgradeJob job;
+  {
+    std::lock_guard<std::mutex> lock(upgrade_mutex_);
+    if (upgrade_queue_.empty()) return outcome;
+    job = std::move(upgrade_queue_.front());
+    upgrade_queue_.pop_front();
+    queued_upgrades_.fetch_sub(1);
+  }
+  return RunUpgrade(job, meter);
+}
+
+UpgradeOutcome QueryEngine::RunUpgrade(const UpgradeJob& job,
+                                       CostMeter* meter) {
+  UpgradeOutcome outcome;
+  // A batch answered from the old witness can cross a doubling just after
+  // an upgrade of its part completed; its job finds the part moved on and
+  // is dropped.
+  const bool moved_on =
+      job.route != nullptr
+          ? job.route->key().bytes != job.from_key.bytes
+          : cost_model_.ChoiceFor(job.part_fingerprint) == job.to;
+  if (moved_on) {
+    std::lock_guard<std::mutex> lock(upgrade_mutex_);
+    upgrading_.erase(job.part_fingerprint);
+    return outcome;
+  }
+  outcome.ran = true;
+  const ProblemEntry& entry = *job.entry;
+  const SelectedWitness to = CandidateAt(entry, job.to);
+  Status& status = outcome.status;
+  if (PITRACT_FAILPOINT("engine.witness_upgrade")) {
+    status = Status::Internal("failpoint engine.witness_upgrade fired");
+  } else {
+    PreparedStore::Key key =
+        store_.BuildKeyCounted(entry.name, to.witness->name, *job.data);
+    status = PrepareWith(entry, to, job.data, key, meter, &outcome.ran_pi);
+    if (status.ok()) {
+      // The upgraded entry is published before anything points at it, so
+      // a reader that follows the switched route hits it warm; a reader
+      // still on the old key finds the old entry, retired but resident.
+      if (job.route != nullptr) job.route->Switch(std::move(key));
+      cost_model_.SetChoice(job.part_fingerprint, job.to);
+      store_.Retire(job.from_key);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(upgrade_mutex_);
+    upgrading_.erase(job.part_fingerprint);
+  }
+  (status.ok() ? upgrades_ : upgrade_failures_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return outcome;
 }
 
 Status QueryEngine::Register(ProblemEntry entry) {
@@ -524,16 +620,27 @@ Result<BatchResult> QueryEngine::AnswerBatch(
     fp = PartFingerprint(data);
   }
   const SelectedWitness sel = SelectWitness(**entry, &data, fp);
+  // The one O(|D|) key build a string-keyed batch pays.
+  PreparedStore::Key key =
+      store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
   WitnessBatchPath path(
-      **entry, *sel.witness, sel.profile,
+      *sel.witness, sel.profile,
       MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
                        sel.descriptor, data.size()),
-      &store_, data, queries, options);
+      &store_, data, key, queries, options);
   auto result = RunBatch(&path);
-  if (result.ok()) {
-    NoteAnswered(**entry, sel, fp, data.size(),
-                 static_cast<int64_t>(queries.size()),
-                 result->answer_cost.work);
+  if (!result.ok()) return result;
+  const int upgrade = NoteAnswered(**entry, sel, fp, data.size(),
+                                   static_cast<int64_t>(queries.size()),
+                                   result->answer_cost.work);
+  if (upgrade >= 0) {
+    // A blocking caller pays Π inline on its own miss; it pays an upgrade
+    // it triggers the same way, after its batch is answered. The outcome
+    // is the upgrade's, not the batch's: a failed one leaves the old
+    // witness serving.
+    (void)RunUpgrade({*entry, std::make_shared<const std::string>(data),
+                      nullptr, std::move(key), upgrade, fp},
+                     nullptr);
   }
   return result;
 }
@@ -557,6 +664,7 @@ Result<DataHandle> QueryEngine::Intern(std::string_view problem,
       SelectWitness(**entry, handle.data.get(), handle.part_fingerprint);
   handle.key = PreparedStore::InternKey((*entry)->name, sel.witness->name,
                                         *handle.data);
+  handle.route = std::make_shared<WitnessRoute>(handle.key);
   return handle;
 }
 
@@ -577,19 +685,26 @@ Result<BatchResult> QueryEngine::AnswerBatch(
     return Status::FailedPrecondition("problem '" + handle.problem +
                                       "' has no Σ*-level witness");
   }
-  // The handle's key names the witness it was interned under — answer
-  // hooks must come from that candidate, never from the current selection.
-  const SelectedWitness sel = ResolveWitnessFromKey(**entry, handle.key);
+  // Answer hooks come from the witness the route's current key names,
+  // never from the current selection: the key says what the payload is.
+  const PreparedStore::Key& key = handle.current_key();
+  const SelectedWitness sel = ResolveWitnessFromKey(**entry, key);
   WitnessBatchPath path(
-      **entry, *sel.witness, sel.profile,
+      *sel.witness, sel.profile,
       MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
                        sel.descriptor, handle.data->size()),
-      &store_, handle, queries, options);
+      &store_, *handle.data, key, queries, options);
   auto result = RunBatch(&path);
-  if (result.ok()) {
-    NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
-                 static_cast<int64_t>(queries.size()),
-                 result->answer_cost.work);
+  if (!result.ok()) return result;
+  const int upgrade =
+      NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
+                   static_cast<int64_t>(queries.size()),
+                   result->answer_cost.work);
+  if (upgrade >= 0) {
+    // Inline, as on the string-keyed blocking face.
+    (void)RunUpgrade({*entry, handle.data, handle.route, key, upgrade,
+                      handle.part_fingerprint},
+                     nullptr);
   }
   return result;
 }
@@ -607,22 +722,30 @@ Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
     return Status::FailedPrecondition("problem '" + handle.problem +
                                       "' has no Σ*-level witness");
   }
-  const SelectedWitness sel = ResolveWitnessFromKey(**entry, handle.key);
+  // One acquire load: the key the part answers from now.
+  const PreparedStore::Key& key = handle.current_key();
+  const SelectedWitness sel = ResolveWitnessFromKey(**entry, key);
   PreparedStore::PreparedView view;
-  if (!store_.TryGetView(handle.key,
+  if (!store_.TryGetView(key,
                          MakeEntryOptions(*sel.witness, sel.size_of,
                                           (*entry)->spillable, sel.descriptor,
                                           handle.data->size()),
                          nullptr, &view)) {
     return false;  // cold: the caller parks the batch and prepares off-path
   }
-  WitnessBatchPath path(**entry, *sel.witness, sel.profile, &store_,
-                        std::move(view), queries, options);
+  WitnessBatchPath path(*sel.witness, sel.profile, &store_, std::move(view),
+                        queries, options);
   auto answered = RunBatch(&path);
   if (!answered.ok()) return answered.status();
-  NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
-               static_cast<int64_t>(queries.size()),
-               answered->answer_cost.work);
+  const int upgrade =
+      NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
+                   static_cast<int64_t>(queries.size()),
+                   answered->answer_cost.work);
+  if (upgrade >= 0) {
+    QueueUpgrade({*entry, handle.data, handle.route, key, upgrade,
+                  handle.part_fingerprint});
+    answered->upgrade_queued = true;
+  }
   *result = std::move(answered).value();
   return true;
 }
@@ -660,13 +783,20 @@ Result<bool> QueryEngine::TryAnswerWarm(std::string_view problem,
     if (cold_key != nullptr) *cold_key = std::move(key);
     return false;
   }
-  WitnessBatchPath path(**entry, *sel.witness, sel.profile, &store_,
-                        std::move(view), queries, options);
+  WitnessBatchPath path(*sel.witness, sel.profile, &store_, std::move(view),
+                        queries, options);
   auto answered = RunBatch(&path);
   if (!answered.ok()) return answered.status();
-  NoteAnswered(**entry, sel, fp, data.size(),
-               static_cast<int64_t>(queries.size()),
-               answered->answer_cost.work);
+  const int upgrade = NoteAnswered(**entry, sel, fp, data.size(),
+                                   static_cast<int64_t>(queries.size()),
+                                   answered->answer_cost.work);
+  if (upgrade >= 0) {
+    // The one O(|D|) copy an upgrade costs this face: the queued build
+    // outlives the caller's bytes.
+    QueueUpgrade({*entry, std::make_shared<const std::string>(data), nullptr,
+                  std::move(key), upgrade, fp});
+    answered->upgrade_queued = true;
+  }
   *result = std::move(answered).value();
   return true;
 }
@@ -684,25 +814,25 @@ Status QueryEngine::Prepare(std::string_view problem,
     return Status::FailedPrecondition("problem '" + std::string(problem) +
                                       "' has no Σ*-level witness");
   }
-  const ProblemEntry* e = *entry;
   // A parked cold key already embeds the witness the admission-time solver
   // chose; parsing it back out makes the preparer build exactly that Π.
-  const SelectedWitness sel = ResolveWitnessFromKey(*e, key);
+  return PrepareWith(**entry, ResolveWitnessFromKey(**entry, key), data, key,
+                     meter, ran_pi);
+}
+
+Status QueryEngine::PrepareWith(const ProblemEntry& entry,
+                                const SelectedWitness& sel,
+                                const std::shared_ptr<const std::string>& data,
+                                const PreparedStore::Key& key,
+                                CostMeter* meter, bool* ran_pi) {
   bool hit = false;
-  auto compute = [&sel, &data](CostMeter* m) -> Result<std::string> {
-    CostMeter local;
-    auto built = sel.witness->preprocess(*data, &local);
-    if (m != nullptr) m->MergeFrom(local);
-    if (built.ok() && sel.profile != nullptr) {
-      sel.profile->RecordBuild(data->size(), built->size(), local.work());
-    }
-    return built;
-  };
+  int64_t build_ops = -1;
   auto prepared = store_.GetOrComputeView(
-      key, compute, meter, &hit,
-      MakeEntryOptions(*sel.witness, sel.size_of, e->spillable, sel.descriptor,
-                       data->size()));
+      key, MeasuredCompute(*sel.witness, *data, &build_ops), meter, &hit,
+      MakeEntryOptions(*sel.witness, sel.size_of, entry.spillable,
+                       sel.descriptor, data->size()));
   if (!prepared.ok()) return prepared.status();
+  RecordMeasuredBuild(sel.profile, data->size(), *prepared, build_ops);
   if (ran_pi != nullptr) *ran_pi = !hit;
   return Status::OK();
 }

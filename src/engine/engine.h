@@ -1,7 +1,9 @@
 #ifndef PITRACT_ENGINE_ENGINE_H_
 #define PITRACT_ENGINE_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -11,6 +13,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/cost_meter.h"
@@ -90,14 +93,43 @@ struct ProblemEntry {
   std::vector<WitnessAlternative> alternatives;
 };
 
+/// The store key a data part's answers currently come from, shared by
+/// every copy of the DataHandle that Intern made for it. Intern publishes
+/// the key it built; a warm witness upgrade publishes the upgraded
+/// witness's key in its place. Readers pay one acquire load. Every key
+/// the route ever published stays owned by it, so a reference a reader
+/// took stays valid across any later switch.
+class WitnessRoute {
+ public:
+  explicit WitnessRoute(PreparedStore::Key key);
+  WitnessRoute(const WitnessRoute&) = delete;
+  WitnessRoute& operator=(const WitnessRoute&) = delete;
+
+  const PreparedStore::Key& key() const {
+    return *current_.load(std::memory_order_acquire);
+  }
+  /// Publishes `key` as the route's current key.
+  void Switch(PreparedStore::Key key);
+
+ private:
+  std::mutex mutex_;  // guards keys_; readers never take it
+  std::vector<std::unique_ptr<const PreparedStore::Key>> keys_;
+  std::atomic<const PreparedStore::Key*> current_;
+};
+
 /// A pre-admitted data part for the Σ*-witness path. `QueryEngine::Intern`
 /// resolves the registry entry and pays the O(|D|) store-key build +
 /// content hash exactly once; every subsequent `AnswerBatch(handle, ...)`
 /// reuses the digest and key bytes, so a warm batch does zero |D|-sized
 /// work end to end (the store re-validates by shared-pointer equality).
-/// Handles are immutable values: copy/share them freely across threads.
-/// A handle addresses the data part it was interned for — after an
-/// ApplyDelta, intern the post-delta data part for a new handle.
+/// Copy/share handles freely across threads.
+///
+/// Contract: `key` names the witness the handle was interned under and
+/// never changes. The handle's answers follow its `route`: when a warm
+/// upgrade moves the part to another witness, every copy of the handle
+/// answers from the upgraded entry on its next batch. A handle addresses
+/// the data part it was interned for — after an ApplyDelta, intern the
+/// post-delta data part for a new handle.
 struct DataHandle {
   std::string problem;
   /// The data part, shared so Π can still run on a (rare) cold miss
@@ -108,6 +140,13 @@ struct DataHandle {
   /// unlike `key`'s digest): the CostModel's per-part traffic/choice index.
   /// Computed once at Intern; 0 on hand-rolled handles disables tracking.
   uint64_t part_fingerprint = 0;
+  /// Set by Intern. Hand-rolled handles have none and answer from `key`.
+  std::shared_ptr<WitnessRoute> route = nullptr;
+
+  /// The key answers come from now.
+  const PreparedStore::Key& current_key() const {
+    return route != nullptr ? route->key() : key;
+  }
 };
 
 /// Per-batch answering knobs (orthogonal to the per-entry EntryOptions the
@@ -155,6 +194,21 @@ struct BatchResult {
   bool cache_hit = false;
   /// Which answer path actually ran (tests/benches assert on this).
   BatchAnswerMode mode = BatchAnswerMode::kScalar;
+  /// TryAnswerWarm queued a witness upgrade for this batch's data part
+  /// (see QueryEngine::RunPendingUpgrade): the caller's cue to wake
+  /// whichever thread runs upgrades.
+  bool upgrade_queued = false;
+};
+
+/// What QueryEngine::RunPendingUpgrade did.
+struct UpgradeOutcome {
+  /// An upgrade was attempted. False when none was queued, or when the
+  /// taken job's part had already moved on (a duplicate, dropped).
+  bool ran = false;
+  bool ran_pi = false;  // its build executed Π
+  /// OK: the part now answers from the upgraded witness. Otherwise the
+  /// old witness keeps serving.
+  Status status;
 };
 
 /// The single prepare-once/answer-many contract that both execution paths
@@ -280,7 +334,8 @@ class QueryEngine {
   /// running Π, blocking on an in-flight Π, or touching a shard mutex —
   /// so a serving worker can park the batch and keep draining warm
   /// traffic. Errors (unknown problem, a query that fails to parse) are
-  /// real errors, not "cold".
+  /// real errors, not "cold". A witness upgrade this batch triggers is
+  /// queued, never run here (`result->upgrade_queued`).
   Result<bool> TryAnswerWarm(const DataHandle& handle,
                              std::span<const std::string> queries,
                              const AnswerOptions& options,
@@ -303,6 +358,36 @@ class QueryEngine {
                  const std::shared_ptr<const std::string>& data,
                  const PreparedStore::Key& key, CostMeter* meter = nullptr,
                  bool* ran_pi = nullptr);
+
+  // --- warm witness upgrades ----------------------------------------------
+  //
+  // Under CostModel::Policy::kAdaptive, each time a part's traffic crosses
+  // a doubling boundary the engine scores its candidates again, with the
+  // serving witness as the (resident) incumbent. When another candidate
+  // wins by more than the hysteresis margin, and the growth in measured
+  // bytes fits the store's byte budget, an upgrade is due: build Π
+  // under the winner, publish it, switch the part's route and sticky
+  // choice to it, and retire the old entry (first eviction victim, never
+  // spilled). The warm faces (TryAnswerWarm) queue the upgrade for a
+  // ServePipeline's preparers, which run it behind any cold jobs; the
+  // blocking AnswerBatch faces, which already run Π inline on a miss, run
+  // the upgrade they trigger inline after answering. One upgrade per part
+  // is pending at a time. An upgrade build counts as a Π run and a store
+  // miss; if it fails (failpoint `engine.witness_upgrade`, or a failed Π)
+  // the old witness keeps serving and a later doubling may try again.
+
+  /// Takes the oldest queued upgrade and runs it on this thread. `meter` is
+  /// charged Π's cost when the build ran it.
+  UpgradeOutcome RunPendingUpgrade(CostMeter* meter = nullptr);
+  /// True iff an upgrade is queued.
+  bool HasPendingUpgrades() const { return queued_upgrades_.load() > 0; }
+  /// Upgrades completed / failed since construction.
+  int64_t upgrades() const {
+    return upgrades_.load(std::memory_order_relaxed);
+  }
+  int64_t upgrade_failures() const {
+    return upgrade_failures_.load(std::memory_order_relaxed);
+  }
 
   /// Single-query convenience; still routed through the PreparedStore, so a
   /// warm store answers without re-running Π. Prepare+answer costs are
@@ -405,11 +490,33 @@ class QueryEngine {
                                 const std::string* data,
                                 uint64_t part_fingerprint) const;
   /// Traffic bookkeeping after an answered batch: feeds the measured
-  /// profile and, under kAdaptive, re-runs selection when a part's traffic
-  /// crosses a doubling boundary.
-  void NoteAnswered(const ProblemEntry& entry, const SelectedWitness& selected,
-                    uint64_t part_fingerprint, size_t data_bytes,
-                    int64_t queries, int64_t answer_ops);
+  /// profile and, under kAdaptive, scores the part again when its traffic
+  /// crosses a doubling boundary. Returns the candidate index an upgrade
+  /// is due to (and marks the part's upgrade pending), or -1.
+  int NoteAnswered(const ProblemEntry& entry, const SelectedWitness& selected,
+                   uint64_t part_fingerprint, size_t data_bytes,
+                   int64_t queries, int64_t answer_ops);
+
+  /// One due witness upgrade (see RunPendingUpgrade).
+  struct UpgradeJob {
+    const ProblemEntry* entry = nullptr;
+    std::shared_ptr<const std::string> data;
+    /// The handle's route; null for a string-keyed part.
+    std::shared_ptr<WitnessRoute> route;
+    /// The key answers came from: retired once the upgrade lands.
+    PreparedStore::Key from_key;
+    int to = 0;
+    uint64_t part_fingerprint = 0;
+  };
+  void QueueUpgrade(UpgradeJob job);
+  UpgradeOutcome RunUpgrade(const UpgradeJob& job, CostMeter* meter);
+  /// Ensures Π(data) under `sel` is resident under `key`, running it on a
+  /// miss and recording the measured build in the witness's profile.
+  Status PrepareWith(const ProblemEntry& entry, const SelectedWitness& sel,
+                     const std::shared_ptr<const std::string>& data,
+                     const PreparedStore::Key& key, CostMeter* meter,
+                     bool* ran_pi);
+  double BytePressure() const;
 
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, ProblemEntry, std::less<>> entries_;
@@ -422,6 +529,16 @@ class QueryEngine {
   /// path that generated off-lock only re-scans for a racing duplicate
   /// when the generation moved since its miss.
   uint64_t typed_generation_ = 0;
+
+  /// upgrade_mutex_ guards the queue and the set of parts with an upgrade
+  /// pending (queued or running).
+  std::mutex upgrade_mutex_;
+  std::deque<UpgradeJob> upgrade_queue_;
+  std::unordered_set<uint64_t> upgrading_;
+  /// upgrade_queue_.size(), readable without the mutex.
+  std::atomic<int64_t> queued_upgrades_{0};
+  std::atomic<int64_t> upgrades_{0};
+  std::atomic<int64_t> upgrade_failures_{0};
 };
 
 /// The process-wide engine with every built-in problem registered (see

@@ -139,9 +139,15 @@ void ServePipeline::SubmitWorkload(std::span<const ServeWorkItem> workload,
 
 void ServePipeline::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
+  // Upgrades count too: the batches that queued one are answered, but
+  // their report is not final until the build has run (or failed). An
+  // upgrade is taken off the engine's queue only after upgrades_running_
+  // went up, so the two reads cannot both miss it.
   drain_cv_.wait(lock, [&] {
     return completed_.load(std::memory_order_acquire) ==
-           admitted_.load(std::memory_order_acquire);
+               admitted_.load(std::memory_order_acquire) &&
+           !engine_->HasPendingUpgrades() &&
+           upgrades_running_.load() == 0;
   });
 }
 
@@ -159,6 +165,12 @@ void ServePipeline::FinishCompleted(int64_t n) {
 
 void ServePipeline::RecordAnswered(WorkerTally* tally,
                                    const BatchResult& result) {
+  if (result.upgrade_queued) {
+    // Empty critical section: pairs with the preparers' predicate wait, so
+    // the wake-up cannot slip between their check and their sleep.
+    { std::lock_guard<std::mutex> lock(prep_mu_); }
+    prep_cv_.notify_one();
+  }
   ++tally->batches;
   tally->queries += static_cast<int64_t>(result.answers.size());
   tally->pi_runs += result.prepare_runs;
@@ -264,14 +276,16 @@ bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
   }
   BatchResult result;
   Result<bool> warm = false;
-  if (unit->key.bytes != nullptr) {
-    // Requeued after a prepare (or a handle item on its cold route): the
-    // key is already built, probe through it.
-    DataHandle route{unit->problem, unit->data, unit->key};
-    warm = engine_->TryAnswerWarm(route, item.queries, answer_options_,
-                                  &result);
-  } else if (item.handle != nullptr) {
+  if (item.handle != nullptr) {
+    // Through the handle, requeued or not: its route names the key the
+    // part answers from now.
     warm = engine_->TryAnswerWarm(*item.handle, item.queries, answer_options_,
+                                  &result);
+  } else if (unit->key.bytes != nullptr) {
+    // A string item requeued after a prepare: the key is already built,
+    // probe through it.
+    DataHandle cold{unit->problem, unit->data, unit->key};
+    warm = engine_->TryAnswerWarm(cold, item.queries, answer_options_,
                                   &result);
   } else {
     warm = engine_->TryAnswerWarm(item.problem, item.data, item.queries,
@@ -313,11 +327,11 @@ bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
     return true;
   }
   ++unit->requeues;
-  if (unit->key.bytes == nullptr) {
-    // First park of a handle item: the cold route aliases the handle.
+  if (item.handle != nullptr) {
+    // A handle item parks under the key its probe just missed.
     unit->problem = item.handle->problem;
     unit->data = item.handle->data;
-    unit->key = item.handle->key;
+    unit->key = item.handle->current_key();
   } else if (unit->data == nullptr) {
     // First park of a string item: the probe built the key; the data
     // bytes stay where they are (the item outlives the pipeline run).
@@ -363,7 +377,7 @@ bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
   if (item.handle != nullptr) {
     unit->problem = item.handle->problem;
     unit->data = item.handle->data;
-    unit->key = item.handle->key;
+    unit->key = item.handle->current_key();
   } else {
     unit->problem = item.problem;
     unit->data = std::shared_ptr<const std::string>(
@@ -435,11 +449,35 @@ void ServePipeline::PreparerLoop(size_t preparer_index) {
     PrepareJob job;
     {
       std::unique_lock<std::mutex> lock(prep_mu_);
-      prep_cv_.wait(lock,
-                    [&] { return stop_preparers_ || !prep_jobs_.empty(); });
-      if (prep_jobs_.empty()) return;  // stop requested, queue drained
-      job = std::move(prep_jobs_.front());
-      prep_jobs_.pop_front();
+      prep_cv_.wait(lock, [&] {
+        return stop_preparers_ || !prep_jobs_.empty() ||
+               engine_->HasPendingUpgrades();
+      });
+      if (!prep_jobs_.empty()) {
+        job = std::move(prep_jobs_.front());
+        prep_jobs_.pop_front();
+      } else if (stop_preparers_) {
+        return;  // Drain saw every item and upgrade through
+      } else {
+        upgrades_running_.fetch_add(1);
+      }
+    }
+    if (job.key.bytes == nullptr) {
+      // Warm witness upgrades run only when no cold job waits: a parked
+      // item's Π always goes first.
+      const int64_t t0 = MonotonicNowNanos();
+      const UpgradeOutcome upgrade =
+          engine_->RunPendingUpgrade(&tally.prepare_meter);
+      tally.busy_ns += MonotonicNowNanos() - t0;
+      if (upgrade.ran_pi) ++tally.pi_runs;
+      if (upgrade.ran) {
+        ++(upgrade.status.ok() ? tally.upgrades : tally.upgrade_failures);
+      }
+      upgrades_running_.fetch_sub(1);
+      // Empty critical section: pairs with Drain's predicate wait.
+      { std::lock_guard<std::mutex> lock(mu_); }
+      drain_cv_.notify_all();
+      continue;
     }
     // Π runs here — on a preparer, holding no pipeline lock — while the
     // answer workers keep draining warm traffic. busy_ns is the
@@ -551,6 +589,8 @@ ServeReport ServePipeline::report() {
     report.preparer_busy_ns += tally.busy_ns;
     report.pi_retries += tally.pi_retries;
     report.pi_failures += tally.pi_failures;
+    report.upgrades += tally.upgrades;
+    report.upgrade_failures += tally.upgrade_failures;
     if (tally.errors > 0 && report.errors == 0) {
       report.first_error = tally.first_error;
     }

@@ -98,6 +98,13 @@ struct ItemOutcome {
 /// answers (the property tests/pipeline_test.cc pins with a blocking
 /// witness).
 ///
+/// The preparers also run the engine's queued warm witness upgrades
+/// (QueryEngine::RunPendingUpgrade), only while no cold job waits, so an
+/// upgrade's Π never delays a parked item and never runs on an answer
+/// worker. A worker whose batch queued an upgrade wakes a preparer, and
+/// Drain() returns only once the queue is empty and no upgrade is running,
+/// so a report counts every upgrade its traffic triggered.
+///
 /// Two submission faces share the machinery:
 ///  * `SubmitWorkload` — the bulk/batch face ServeParallel wraps: claims
 ///    (workload.size() x repeat) items through an atomic cursor, one
@@ -136,7 +143,8 @@ class ServePipeline {
   void SubmitWorkload(std::span<const ServeWorkItem> workload, int repeat,
                       int64_t deadline_ns = 0);
 
-  /// Blocks until every admitted item has completed.
+  /// Blocks until every admitted item has completed and the engine has no
+  /// witness upgrade queued or running on this pipeline's preparers.
   void Drain();
 
   /// Aggregated counters (PR 5-style per-thread tallies merged on read).
@@ -194,6 +202,8 @@ class ServePipeline {
     int64_t errors = 0;
     int64_t pi_retries = 0;   // retry attempts after a failed Prepare
     int64_t pi_failures = 0;  // terminal failures (retry budget spent)
+    int64_t upgrades = 0;          // warm witness upgrades completed
+    int64_t upgrade_failures = 0;  // ... and failed (old witness serves)
     Status first_error;
     CostMeter prepare_meter;
   };
@@ -256,6 +266,8 @@ class ServePipeline {
   std::condition_variable prep_cv_;
   std::deque<PrepareJob> prep_jobs_;
   bool stop_preparers_ = false;
+  /// Preparers inside RunPendingUpgrade (raised before the job is taken).
+  std::atomic<int> upgrades_running_{0};
 
   std::vector<WorkerTally> worker_tallies_;
   std::vector<PreparerTally> preparer_tallies_;

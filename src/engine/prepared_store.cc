@@ -43,6 +43,22 @@ std::string DigestTag(uint64_t digest) {
   return tag;
 }
 
+/// The rest of an open file in one bulk read (a stream-iterator copy goes
+/// a byte at a time and dominated Load for large frames).
+std::string ReadAll(std::ifstream& in) {
+  std::string bytes;
+  const std::streampos start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg() - start;
+  if (size > 0) {
+    bytes.resize(static_cast<size_t>(size));
+    in.seekg(start);
+    in.read(bytes.data(), size);
+    bytes.resize(static_cast<size_t>(in.gcount()));
+  }
+  return bytes;
+}
+
 std::string DigestFileName(uint64_t digest) {
   static const char kHex[] = "0123456789abcdef";
   std::string name(16, '0');
@@ -365,7 +381,7 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
         // Negative-cache the failure: later hits serve the string path
         // directly instead of re-running the failing decode per hit.
         entry->view_build_failed.store(true, std::memory_order_relaxed);
-        return PreparedView{entry->prepared, nullptr};
+        return PreparedView{entry->prepared, nullptr, ChargedBytes(*entry)};
       } else {
         // Write-once publication: the plain field store below is the only
         // post-publication write `view` ever sees, and it happens-before
@@ -384,7 +400,7 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
     // consistent, so serve it without publishing.
   }
   if (accounted) EvictUntilWithinBudget();
-  return PreparedView{entry->prepared, serve};
+  return PreparedView{entry->prepared, serve, ChargedBytes(*entry)};
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
@@ -400,7 +416,8 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
   // from this reader's perspective: once non-null, reading (copying) the
   // shared_ptr without any lock is race-free.
   if (entry->view_ready.load(std::memory_order_acquire) != nullptr) {
-    return PreparedView{entry->prepared, entry->view};
+    return PreparedView{entry->prepared, entry->view,
+                        ChargedBytes(*entry)};
   }
   if (entry_options.make_view &&
       !entry->view_build_failed.load(std::memory_order_relaxed)) {
@@ -408,7 +425,7 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
     // hit repairs the decoded view (outside every lock).
     return RebuildViewLazily(entry, entry_options, meter);
   }
-  return PreparedView{entry->prepared, nullptr};
+  return PreparedView{entry->prepared, nullptr, ChargedBytes(*entry)};
 }
 
 PreparedStore::Key PreparedStore::BuildKeyCounted(std::string_view problem,
@@ -618,7 +635,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   entry->size_bytes = entry_options.size_of
                           ? entry_options.size_of(*entry->prepared)
                           : DefaultSizeBytes(*entry);
-  PreparedView result{entry->prepared, entry->view};
+  PreparedView result{entry->prepared, entry->view, ChargedBytes(*entry)};
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -982,16 +999,28 @@ void PreparedStore::RespillPatched(
 
 bool PreparedStore::Contains(std::string_view problem, std::string_view witness,
                              std::string_view data) const {
-  const std::string key = MakeKey(problem, witness, data);
-  const uint64_t digest = Fnv1a64(key);
-  const Shard& shard = ShardFor(digest);
+  const Key key = BuildKeyCounted(problem, witness, data);
+  const Shard& shard = ShardFor(key.digest);
   TableRef table = shard.snapshot.Acquire();
-  auto it = table->find(digest);
+  auto it = table->find(key.digest);
   // Superseded versions stay digest-addressable for pinned readers but do
   // not count as "the store knows this data part" — a fresh admission for
   // the key must go through the normal miss path.
-  return it != table->end() && *it->second->key == key &&
+  return it != table->end() && EntryMatches(*it->second, key) &&
          !it->second->superseded.load(std::memory_order_relaxed);
+}
+
+void PreparedStore::Retire(const Key& key) {
+  {
+    Shard& shard = ShardFor(key.digest);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    TableRef table = shard.snapshot.Acquire();
+    auto it = table->find(key.digest);
+    if (it == table->end() || !EntryMatches(*it->second, key)) return;
+    it->second->referenced.store(false, std::memory_order_relaxed);
+    it->second->superseded.store(true, std::memory_order_release);
+  }
+  EvictUntilWithinBudget();
 }
 
 bool PreparedStore::OverBudget() const {
@@ -1140,7 +1169,8 @@ void PreparedStore::EvictUntilWithinBudget() {
     // answering via the string path — strictly cheaper to undo (one lazy
     // rebuild) than an eviction (a Π re-run), so views are always the
     // first bytes to go. Victim order: cold views first (no CLOCK bit),
-    // then cheapest expected loss, then oldest.
+    // then superseded entries (old versions, retired witnesses), then
+    // cheapest expected loss, then oldest.
     if (options_.tiered && bytes_over > 0 && entries_over <= 0) {
       std::vector<size_t> holders;
       for (size_t i = 0; i < candidates.size(); ++i) {
@@ -1154,6 +1184,7 @@ void PreparedStore::EvictUntilWithinBudget() {
                     if (a.second_chance != b.second_chance) {
                       return !a.second_chance;
                     }
+                    if (a.superseded != b.superseded) return a.superseded;
                     if (a.view_loss != b.view_loss) {
                       return a.view_loss < b.view_loss;
                     }
@@ -1286,8 +1317,7 @@ bool PreparedStore::TryLoadColdPayload(const Key& key,
   std::ifstream in(fs::path(dir) / DigestFileName(key.digest),
                    std::ios::binary);
   if (!in || PITRACT_FAILPOINT("spill.read")) return false;
-  std::string framed((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  const std::string framed = ReadAll(in);
   serde::Reader reader(framed);
   auto magic = reader.ReadU32();
   auto version = magic.ok() ? reader.ReadU32() : magic;
@@ -1420,8 +1450,7 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
       LocalStats().load_skipped.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    std::string framed((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+    const std::string framed = ReadAll(in);
     serde::Reader reader(framed);
     auto magic = reader.ReadU32();
     auto version = magic.ok() ? reader.ReadU32() : magic;

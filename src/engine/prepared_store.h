@@ -259,6 +259,9 @@ class PreparedStore {
   struct PreparedView {
     std::shared_ptr<const std::string> prepared;
     std::shared_ptr<const void> view;  // null: answer via the string path
+    /// Bytes the entry charges against the byte budget when served:
+    /// payload estimate plus decoded view.
+    size_t charged_bytes = 0;
   };
 
   /// Returns the cached Π(D) for (problem, witness, data), or runs
@@ -312,10 +315,19 @@ class PreparedStore {
   bool TryGetView(const Key& key, const EntryOptions& entry_options,
                   CostMeter* meter, PreparedView* out);
 
-  /// True iff an entry for (problem, witness, data) is resident. Lock-free
-  /// (probes the published snapshot).
+  /// True iff an entry for (problem, witness, data) is resident and not
+  /// superseded. Lock-free (probes the published snapshot), but it builds
+  /// the O(|D|) key, counted in Stats::key_builds.
   bool Contains(std::string_view problem, std::string_view witness,
                 std::string_view data) const;
+
+  /// Retires `key`'s entry after a witness upgrade moved its data part to
+  /// another entry: the entry is marked superseded (it still serves probes
+  /// by digest, but leaves Contains and Spill, and a delta no longer
+  /// patches it) and loses its CLOCK bit, so it is the first eviction
+  /// victim. An eviction pass then brings the store back under budget.
+  /// No-op when the entry is not resident.
+  void Retire(const Key& key);
 
   /// Patches Π(old_data) in place so the entry serves (problem, witness,
   /// new_data): the incremental-maintenance path (Section 1's D ⊕ ΔD).
@@ -445,10 +457,11 @@ class PreparedStore {
     uint64_t predecessor_digest = 0;
     bool has_predecessor = false;
     /// Set (with successor_digest) under the re-key critical section when
-    /// a newer version is published. A superseded version keeps serving
-    /// digest-addressed probes — its payload is still exactly Π(its data)
-    /// — but leaves Contains, Spill, and the current-version contract to
-    /// its successor.
+    /// a newer version is published, or (with no successor) by Retire when
+    /// a witness upgrade moved the data part to another entry. A
+    /// superseded entry keeps serving digest-addressed probes — its
+    /// payload is still exactly Π(its data) — but leaves Contains, Spill,
+    /// and the current-version contract to its successor.
     std::atomic<bool> superseded{false};
     std::atomic<uint64_t> successor_digest{0};
   };
@@ -623,6 +636,11 @@ class PreparedStore {
     shard->snapshot.Publish(std::move(table));
   }
   size_t DefaultSizeBytes(const Entry& entry) const;
+  /// Bytes `entry` charges against the budget: payload estimate plus view.
+  static size_t ChargedBytes(const Entry& entry) {
+    return entry.size_bytes +
+           entry.view_size_bytes.load(std::memory_order_relaxed);
+  }
   /// Runs `make_view` (if any) over `prepared`, translating failures and
   /// unwinds into a null view (string-path fallback, never an error).
   std::shared_ptr<const void> BuildView(

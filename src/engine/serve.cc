@@ -82,6 +82,8 @@ std::string ServeReport::ToJson() const {
   field("pi_failures", pi_failures);
   field("pi_retries", pi_retries);
   field("quarantined", quarantined);
+  field("upgrades", upgrades);
+  field("upgrade_failures", upgrade_failures);
   json.push_back('}');
   return json;
 }

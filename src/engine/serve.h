@@ -103,6 +103,12 @@ struct ServeReport {
   /// was quarantined — the retry storm the negative cache absorbed. Also
   /// counted in `errors`.
   int64_t quarantined = 0;
+  /// Warm witness upgrades the preparers completed (each switched a part's
+  /// route and sticky choice to the upgraded witness) and that failed
+  /// (the old witness kept serving). An upgrade's Π run is also counted
+  /// in `pi_runs`.
+  int64_t upgrades = 0;
+  int64_t upgrade_failures = 0;
 
   /// One observability blob: every counter above as a flat JSON object
   /// (costs flattened to `prepare_work`/`prepare_depth`/...), so benches

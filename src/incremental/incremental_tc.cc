@@ -279,6 +279,17 @@ IncrementalTransitiveClosure::Deserialize(std::string_view bytes) {
 
 Result<bool> IncrementalTransitiveClosure::ReachableInSerialized(
     std::string_view bytes, int64_t u, int64_t v) {
+  PITRACT_ASSIGN_OR_RETURN(const ImageLayout layout, ReadImageLayout(bytes));
+  if (u < 0 || u >= layout.n || v < 0 || v >= layout.n) {
+    return Status::OutOfRange("node id out of range");
+  }
+  return ImageReachable(
+      reinterpret_cast<const unsigned char*>(bytes.data()) + kImageRowsOffset,
+      layout.words_per_row, u, v);
+}
+
+Result<IncrementalTransitiveClosure::ImageLayout>
+IncrementalTransitiveClosure::ReadImageLayout(std::string_view bytes) {
   serde::Reader reader(bytes);
   PITRACT_ASSIGN_OR_RETURN(uint64_t tag, reader.ReadU64());
   if (tag != kFormatTagV2) {
@@ -288,7 +299,7 @@ Result<bool> IncrementalTransitiveClosure::ReachableInSerialized(
   PITRACT_ASSIGN_OR_RETURN(uint64_t n_raw, reader.ReadU64());
   // Bound n (and m) before any size arithmetic: adversarial counts would
   // both overflow the expected-size product and defeat the u/v range
-  // checks, turning the offset probe below into an out-of-bounds read.
+  // checks, turning a row probe into an out-of-bounds read.
   if (n_raw > static_cast<uint64_t>(std::numeric_limits<graph::NodeId>::max())) {
     return Status::InvalidArgument("closure image: node count overflows");
   }
@@ -299,21 +310,11 @@ Result<bool> IncrementalTransitiveClosure::ReachableInSerialized(
     return Status::InvalidArgument("closure image: edge count overflows");
   }
   const auto m = static_cast<int64_t>(m_raw);
-  if (bytes.size() != static_cast<size_t>(24 + 2 * n * wpr * 8 + 8 * m)) {
+  if (bytes.size() !=
+      kImageRowsOffset + static_cast<size_t>(2 * n * wpr * 8 + 8 * m)) {
     return Status::InvalidArgument("closure image: truncated or oversized");
   }
-  if (u < 0 || u >= n || v < 0 || v >= n) {
-    return Status::OutOfRange("node id out of range");
-  }
-  const size_t offset =
-      static_cast<size_t>(24 + (u * wpr + (v >> 6)) * 8);
-  uint64_t word = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    word |= static_cast<uint64_t>(
-                static_cast<unsigned char>(bytes[offset + i]))
-            << (8 * i);
-  }
-  return ((word >> (v & 63)) & 1) != 0;
+  return ImageLayout{n, wpr};
 }
 
 int64_t IncrementalTransitiveClosure::NumReachablePairs() const {

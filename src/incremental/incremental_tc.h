@@ -1,7 +1,9 @@
 #ifndef PITRACT_INCREMENTAL_INCREMENTAL_TC_H_
 #define PITRACT_INCREMENTAL_INCREMENTAL_TC_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,6 +90,31 @@ class IncrementalTransitiveClosure {
   /// answer step of the engine's incremental-closure witness.
   static Result<bool> ReachableInSerialized(std::string_view bytes,
                                             int64_t u, int64_t v);
+
+  /// Where a Serialize image keeps its descendant rows: bit (u, v) is bit
+  /// v % 64 of the little-endian u64 at byte
+  /// kImageRowsOffset + 8 * (u * words_per_row + v / 64).
+  struct ImageLayout {
+    int64_t n = 0;
+    int64_t words_per_row = 0;
+  };
+  static constexpr size_t kImageRowsOffset = 24;
+  /// Validates a Serialize image's header and size without rehydrating it.
+  static Result<ImageLayout> ReadImageLayout(std::string_view bytes);
+  /// Bit (u, v) of an image's descendant rows, which start at `rows`
+  /// (image bytes + kImageRowsOffset). Unchecked: the caller validated
+  /// the layout and the range.
+  static bool ImageReachable(const unsigned char* rows, int64_t words_per_row,
+                             int64_t u, int64_t v) {
+    const unsigned char* at = rows + 8 * (u * words_per_row + (v >> 6));
+    uint64_t word = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&word, at, sizeof(word));
+    } else {
+      for (int i = 0; i < 8; ++i) word |= uint64_t{at[i]} << (8 * i);
+    }
+    return ((word >> (v & 63)) & 1) != 0;
+  }
 
  private:
   graph::NodeId n_ = 0;

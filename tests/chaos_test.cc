@@ -14,8 +14,8 @@
 //   4. bounded termination — Drain() returns and every thread joins.
 //
 // Runs under the normal build and the TSan build (see .github/workflows).
-// Deterministic single-fault tests for the Π retry/quarantine policy live
-// at the bottom.
+// Deterministic single-fault tests for the Π retry/quarantine policy and
+// for the warm witness upgrade live at the bottom.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +41,8 @@
 #include "engine/pipeline.h"
 #include "engine/prepared_store.h"
 #include "engine/serve.h"
+#include "graph/algos.h"
+#include "graph/generators.h"
 
 namespace pitract {
 namespace engine {
@@ -646,6 +648,121 @@ TEST(PipelinePiFailureTest, PreparerPublishFailpointHealsViaRetry) {
   EXPECT_EQ(report.pi_failures, 0);
   EXPECT_EQ(report.errors, 0);
   EXPECT_EQ(failpoint::StatsFor("pipeline.preparer_publish").fires, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Warm witness upgrade under fault injection. A reach part interned on the
+// cheap-build edge-scan witness earns the closure through warm traffic;
+// with `engine.witness_upgrade` armed every upgrade the traffic triggers
+// fails, and the edge-scan witness must keep serving answers that match a
+// BFS shadow of the graph. Disarmed, the next due upgrade lands. The
+// accounting is exact throughout: the reports' upgrades, upgrade_failures
+// and pi_runs agree with the engine's counters and the failpoint's fires.
+// ---------------------------------------------------------------------------
+
+TEST(WitnessUpgradeChaosTest, FailedUpgradeKeepsOldWitnessServing) {
+  failpoint::ScopedFailpoints guard;
+  auto engine = MakeEngine();
+  engine->cost_model().SetPolicy(CostModel::Policy::kAdaptive);
+
+  Rng rng(8080);
+  const graph::Graph g = graph::ErdosRenyi(64, 256, /*directed=*/true, &rng);
+  const std::string data = core::ReachFactorization()
+                               .pi1(core::MakeReachInstance(g, 0, 0))
+                               .value();
+  auto interned = engine->Intern("graph-reachability", data);
+  ASSERT_TRUE(interned.ok()) << interned.status().ToString();
+  const auto handle =
+      std::make_shared<const DataHandle>(std::move(interned).value());
+
+  // 16 items x 8 queries, each answer fixed by a BFS the fault schedule
+  // cannot touch.
+  std::vector<ServeWorkItem> workload(16);
+  std::vector<std::vector<bool>> shadow;
+  for (ServeWorkItem& item : workload) {
+    item.handle = handle;
+    std::vector<bool> expected;
+    for (int q = 0; q < 8; ++q) {
+      const auto u = static_cast<graph::NodeId>(rng.NextBelow(64));
+      const auto v = static_cast<graph::NodeId>(rng.NextBelow(64));
+      item.queries.push_back(std::to_string(u) + "#" + std::to_string(v));
+      expected.push_back(graph::BfsReachable(g, u, v));
+    }
+    shadow.push_back(std::move(expected));
+  }
+  auto route_witness = [&handle] {
+    const std::string& key = *handle->current_key().bytes;
+    const size_t a = key.find('\x1f');
+    return key.substr(a + 1, key.find('\x1f', a + 1) - a - 1);
+  };
+  ASSERT_EQ(route_witness(), "edge-scan");
+
+  ServeOptions options;
+  options.threads = 2;
+  options.preparers = 1;
+  options.repeat = 4;
+  ServeReport total;
+  // One round: a ServeParallel pass (Drain covers the upgrades it queues),
+  // then every item through the warm face against the shadow.
+  auto round = [&] {
+    const ServeReport report = ServeParallel(engine.get(), workload, options);
+    ASSERT_EQ(report.errors, 0) << report.first_error.ToString();
+    total.pi_runs += report.pi_runs;
+    total.upgrades += report.upgrades;
+    total.upgrade_failures += report.upgrade_failures;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      BatchResult batch;
+      auto warm = engine->TryAnswerWarm(*handle, workload[i].queries,
+                                        AnswerOptions{}, &batch);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      ASSERT_TRUE(*warm);
+      ASSERT_EQ(batch.answers, shadow[i]);
+    }
+  };
+
+  // Armed: drive the part's traffic through six doublings past the first
+  // failed upgrade. Every due upgrade fails; edge-scan keeps serving.
+  failpoint::Arm("engine.witness_upgrade", failpoint::Always());
+  const uint64_t fp = handle->part_fingerprint;
+  int64_t traffic_at_failure = 0;
+  for (int r = 0; r < 400; ++r) {
+    round();
+    if (HasFatalFailure()) return;
+    const int64_t traffic = engine->cost_model().TrafficFor(fp);
+    if (total.upgrade_failures > 0 && traffic_at_failure == 0) {
+      traffic_at_failure = traffic;
+    }
+    if (traffic_at_failure > 0 && traffic >= 64 * traffic_at_failure) break;
+  }
+  ASSERT_GT(traffic_at_failure, 0) << "no upgrade became due";
+  const int64_t fires = failpoint::StatsFor("engine.witness_upgrade").fires;
+  EXPECT_GE(fires, 2);  // a failure does not stop later doublings retrying
+  EXPECT_EQ(total.upgrade_failures, fires);
+  EXPECT_EQ(engine->upgrade_failures(), fires);
+  EXPECT_EQ(total.upgrades, 0);
+  EXPECT_EQ(engine->upgrades(), 0);
+  EXPECT_EQ(total.pi_runs, 1);  // the cold edge-scan build only
+  EXPECT_EQ(engine->store().stats().misses, 1);
+  EXPECT_EQ(route_witness(), "edge-scan");
+  EXPECT_EQ(engine->cost_model().ChoiceFor(fp), 1);
+
+  // Disarmed: the next doubling's upgrade builds the closure once.
+  failpoint::Disarm("engine.witness_upgrade");
+  const int64_t traffic_disarmed = engine->cost_model().TrafficFor(fp);
+  for (int r = 0; r < 400 && total.upgrades == 0; ++r) {
+    round();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_LE(engine->cost_model().TrafficFor(fp), 4 * traffic_disarmed);
+  EXPECT_EQ(total.upgrades, 1);
+  EXPECT_EQ(engine->upgrades(), 1);
+  EXPECT_EQ(total.upgrade_failures, fires);
+  EXPECT_EQ(total.pi_runs, 2);
+  EXPECT_EQ(engine->store().stats().misses, 2);
+  EXPECT_EQ(engine->store().stats().locked_hits, 0);
+  EXPECT_EQ(route_witness(), "incremental-closure");
+  EXPECT_EQ(engine->cost_model().ChoiceFor(fp), 0);
+  round();  // the closure answers the shadow too
 }
 
 }  // namespace

@@ -1,21 +1,30 @@
 // Unit coverage for the witness-selection solver (engine/cost_model.h):
 // policy gating, the expected-cost score (build amortization, residency,
-// byte pressure, measured-profile blending), the traffic bookkeeping that
-// drives re-selection, and the CostDescriptor linear fits — plus two
-// engine-level tests proving answer parity across policies and the
-// cold-part -> hot-part witness upgrade end to end.
+// byte pressure, measured-profile blending, hysteresis), the traffic
+// bookkeeping that drives re-selection and its bounded trim, and the
+// CostDescriptor linear fits — plus engine-level tests proving answer
+// parity across policies and the warm cold-part -> hot-part witness
+// upgrade end to end: on the blocking face, through the pipeline's
+// preparer to a handle interned before the upgrade, and against warm
+// readers racing the route swap.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/cost_model.h"
+#include "engine/delta.h"
 #include "engine/engine.h"
+#include "engine/serve.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 
@@ -201,6 +210,67 @@ TEST(CostModelTest, NoteTrafficFiresOnDoublingBoundariesAboveFloor) {
   EXPECT_FALSE(model.NoteTraffic(99, 20));
 }
 
+TEST(CostModelTest, TrimDropsTheColdestHalfAndKeepsNewAndHotParts) {
+  CostModel model;
+  const uint64_t cap = CostModel::kMaxTrackedParts;
+  // Fill the model to its cap. Parts 1..1000 are the hottest and hold a
+  // sticky choice; the rest saw one query each.
+  for (uint64_t fp = 1; fp <= cap; ++fp) {
+    model.NoteTraffic(fp, fp <= 1000 ? static_cast<int64_t>(1000 + fp) : 1);
+    if (fp <= 1000) model.SetChoice(fp, 1);
+  }
+  // 1000 never-seen parts: the first one forces a trim. Each must keep the
+  // count it was just given (the trim runs before it is inserted), which
+  // is also what ASan checks: no write through a dropped entry.
+  for (uint64_t fp = cap + 1; fp <= cap + 1000; ++fp) {
+    model.NoteTraffic(fp, 7);
+  }
+  for (uint64_t fp = cap + 1; fp <= cap + 1000; ++fp) {
+    ASSERT_EQ(model.TrafficFor(fp), 7) << fp;
+  }
+  // The trim took the coldest half by traffic, never a hot part.
+  for (uint64_t fp = 1; fp <= 1000; ++fp) {
+    ASSERT_EQ(model.TrafficFor(fp), static_cast<int64_t>(1000 + fp)) << fp;
+    ASSERT_EQ(model.ChoiceFor(fp), 1) << fp;
+  }
+  int64_t cold_kept = 0;
+  for (uint64_t fp = 1001; fp <= cap; ++fp) {
+    cold_kept += model.TrafficFor(fp) > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(cold_kept, static_cast<int64_t>(cap / 2 - 1000));
+}
+
+TEST(CostModelTest, IncumbentKeepsItsWitnessInsideTheSwitchMargin) {
+  CostModel model;
+  model.SetPolicy(CostModel::Policy::kAdaptive);
+  // Both resident, no build terms: score = expected queries * answer.
+  CostDescriptor incumbent;
+  incumbent.build_ops_base = 0.0;
+  incumbent.build_ops_per_byte = 0.0;
+  incumbent.bytes_per_byte = 0.0;
+  incumbent.answer_ops_base = 10.0;
+  CostDescriptor slightly_better = incumbent;
+  slightly_better.answer_ops_base = 8.0;  // saves 20% < kSwitchMargin
+  CostDescriptor much_better = incumbent;
+  much_better.answer_ops_base = 5.0;  // saves 50%
+  std::vector<CostModel::Candidate> close = {
+      {"incumbent", &incumbent, nullptr, true},
+      {"challenger", &slightly_better, nullptr, true},
+  };
+  // Without an incumbent the cheaper candidate wins outright...
+  EXPECT_EQ(model.Select(close, 1000, 7, 0.0), 1);
+  // ...but a served part does not switch for a 20% saving.
+  EXPECT_EQ(model.Select(close, 1000, 7, 0.0, /*incumbent=*/0), 0);
+  std::vector<CostModel::Candidate> far = {
+      {"incumbent", &incumbent, nullptr, true},
+      {"challenger", &much_better, nullptr, true},
+  };
+  EXPECT_EQ(model.Select(far, 1000, 7, 0.0, /*incumbent=*/0), 1);
+  // Having switched, the part does not flip back: the old witness is now
+  // the challenger and saves nothing.
+  EXPECT_EQ(model.Select(far, 1000, 7, 0.0, /*incumbent=*/1), 1);
+}
+
 TEST(CostModelTest, CarryTrafficMovesPopularityAndChoiceAcrossRekey) {
   CostModel model;
   const uint64_t old_fp = 11;
@@ -278,8 +348,30 @@ TEST(CostModelTest, CostDescriptorClampsLinearFitsAtZero) {
 // ---------------------------------------------------------------------------
 // Engine-level: the solver's choice must never change an answer, and a
 // part that turns hot must graduate from the cheap-build witness to the
-// fast-answer witness without a third build or a wrong batch.
+// fast-answer witness while warm — one upgrade build, never a wrong batch,
+// never a flip back.
 // ---------------------------------------------------------------------------
+
+constexpr char kReach[] = "graph-reachability";
+
+/// The witness a store key names (keys are problem \x1f witness \x1f data).
+std::string_view KeyWitness(const PreparedStore::Key& key) {
+  const std::string_view bytes(*key.bytes);
+  const size_t a = bytes.find('\x1f');
+  const size_t b = bytes.find('\x1f', a + 1);
+  return bytes.substr(a + 1, b - a - 1);
+}
+
+std::unique_ptr<QueryEngine> MakeReachEngine(bool adaptive) {
+  auto engine = std::make_unique<QueryEngine>(PreparedStore::Options{});
+  EXPECT_TRUE(RegisterBuiltins(engine.get()).ok());
+  if (adaptive) {
+    engine->cost_model().SetPolicy(CostModel::Policy::kAdaptive);
+  } else {
+    engine->cost_model().ForceWitness(0);  // closure-always oracle
+  }
+  return engine;
+}
 
 std::string ReachData(int64_t n, int64_t m, uint64_t seed) {
   Rng rng(seed);
@@ -371,7 +463,8 @@ TEST(CostModelEngineTest, AdaptiveUpgradesHotPartToFastWitness) {
 
   // 130 batches x 8 queries drive the part's traffic through the 32, 64,
   // ..., 1024 re-selection boundaries; somewhere along the way the build
-  // amortizes and the solver upgrades to the closure.
+  // amortizes and the blocking face runs the warm upgrade to the closure
+  // right after the batch that triggered it.
   Rng rng_adaptive(777);
   Rng rng_reference(777);
   for (int batch = 0; batch < 130; ++batch) {
@@ -395,6 +488,174 @@ TEST(CostModelEngineTest, AdaptiveUpgradesHotPartToFastWitness) {
             0);
   EXPECT_EQ(adaptive->store().stats().misses, 2);
   EXPECT_EQ(reference->store().stats().misses, 1);
+  EXPECT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(adaptive->upgrade_failures(), 0);
+  // The scan entry is retired: still resident for a reader on its key,
+  // but no longer the part's servable head.
+  EXPECT_FALSE(adaptive->store().Contains(kReach, "edge-scan", data));
+  EXPECT_TRUE(adaptive->store().Contains(kReach, "incremental-closure", data));
+}
+
+TEST(CostModelEngineTest, WarmUpgradeReachesHandleThroughThePipeline) {
+  const std::string data = ReachData(64, 256, 1234);
+  auto adaptive = MakeReachEngine(/*adaptive=*/true);
+  auto reference = MakeReachEngine(/*adaptive=*/false);
+
+  // Interned (and so keyed) before any traffic: the cheap-build scan.
+  auto interned = adaptive->Intern(kReach, data);
+  ASSERT_TRUE(interned.ok()) << interned.status().ToString();
+  const auto handle =
+      std::make_shared<const DataHandle>(std::move(interned).value());
+  ASSERT_EQ(KeyWitness(handle->key), "edge-scan");
+  const uint64_t fp = handle->part_fingerprint;
+
+  Rng rng(2024);
+  std::vector<ServeWorkItem> workload(16);
+  std::vector<std::vector<bool>> expected;
+  for (ServeWorkItem& item : workload) {
+    item.handle = handle;
+    item.queries = ReachQueries(64, 8, &rng);
+    auto want = reference->AnswerBatch(kReach, data, item.queries);
+    ASSERT_TRUE(want.ok());
+    expected.push_back(want->answers);
+  }
+
+  ServeOptions options;
+  options.threads = 2;
+  options.preparers = 1;
+  options.repeat = 4;
+  int64_t pi_runs = 0;
+  int64_t upgrades = 0;
+  int64_t traffic_at_upgrade = 0;
+  // Each round: one ServeParallel pass (its preparer runs any upgrade the
+  // pass queues; shutdown drains the queue), then every item through the
+  // warm face against the closure-always oracle. Stop four doublings
+  // after the upgrade.
+  for (int round = 0; round < 500; ++round) {
+    const ServeReport report = ServeParallel(adaptive.get(), workload, options);
+    ASSERT_EQ(report.errors, 0) << report.first_error.ToString();
+    ASSERT_EQ(report.upgrade_failures, 0);
+    pi_runs += report.pi_runs;
+    upgrades += report.upgrades;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      BatchResult batch;
+      auto warm = adaptive->TryAnswerWarm(*handle, workload[i].queries,
+                                          AnswerOptions{}, &batch);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      ASSERT_TRUE(*warm) << "round " << round << " item " << i;
+      ASSERT_EQ(batch.answers, expected[i]) << "round " << round;
+    }
+    const int64_t traffic = adaptive->cost_model().TrafficFor(fp);
+    if (upgrades > 0 && traffic_at_upgrade == 0) traffic_at_upgrade = traffic;
+    if (traffic_at_upgrade > 0 && traffic >= 16 * traffic_at_upgrade) break;
+  }
+  ASSERT_GT(traffic_at_upgrade, 0) << "the part never upgraded";
+  EXPECT_GE(adaptive->cost_model().TrafficFor(fp), 16 * traffic_at_upgrade);
+  EXPECT_FALSE(adaptive->HasPendingUpgrades());
+
+  // One cold scan build, then exactly one upgrade build; no flip back.
+  EXPECT_EQ(pi_runs, 2);
+  EXPECT_EQ(upgrades, 1);
+  EXPECT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(adaptive->store().stats().misses, 2);
+  EXPECT_EQ(adaptive->store().stats().locked_hits, 0);
+  // The handle's key still names what it was interned under; its answers
+  // follow the route, which now names the closure.
+  EXPECT_EQ(KeyWitness(handle->key), "edge-scan");
+  EXPECT_EQ(KeyWitness(handle->current_key()), "incremental-closure");
+  EXPECT_EQ(adaptive->cost_model().ChoiceFor(fp), 0);
+
+  // A delta now patches the closure the part is served from, and the
+  // post-delta handle names it: warm, no Π.
+  DeltaBatch delta;
+  DeltaOp insert;
+  insert.kind = DeltaOp::Kind::kEdgeInsert;
+  insert.a = 5;
+  insert.b = 61;
+  delta.ops.push_back(insert);
+  auto outcome = adaptive->ApplyDelta(kReach, *handle->data, delta);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_TRUE(outcome->patched) << outcome->fallback_reason.ToString();
+  auto post = adaptive->Intern(kReach, outcome->new_data);
+  ASSERT_TRUE(post.ok());
+  EXPECT_EQ(KeyWitness(post->key), "incremental-closure");
+  const auto queries = workload[0].queries;
+  auto got = adaptive->AnswerBatch(*post, queries);
+  auto want = reference->AnswerBatch(kReach, outcome->new_data, queries);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(got->cache_hit);
+  EXPECT_EQ(got->prepare_runs, 0);
+  EXPECT_EQ(got->answers, want->answers);
+  EXPECT_EQ(adaptive->store().stats().misses, 2);
+}
+
+TEST(CostModelEngineTest, WarmReadersRaceTheRouteSwap) {
+  const std::string data = ReachData(64, 256, 1234);
+  auto adaptive = MakeReachEngine(/*adaptive=*/true);
+  auto reference = MakeReachEngine(/*adaptive=*/false);
+  auto interned = adaptive->Intern(kReach, data);
+  ASSERT_TRUE(interned.ok());
+  const DataHandle handle = std::move(interned).value();
+  ASSERT_TRUE(
+      adaptive->Prepare(handle.problem, handle.data, handle.key).ok());
+
+  Rng rng(99);
+  std::vector<std::vector<std::string>> batches;
+  std::vector<std::vector<bool>> expected;
+  for (int i = 0; i < 8; ++i) {
+    batches.push_back(ReachQueries(64, 8, &rng));
+    auto want = reference->AnswerBatch(kReach, data, batches.back());
+    ASSERT_TRUE(want.ok());
+    expected.push_back(want->answers);
+  }
+  adaptive->store().ResetStats();
+
+  // Three warm readers, as pipeline workers would be; this thread plays
+  // the preparer and runs the upgrade their traffic queues.
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> answered{0};
+  std::atomic<int64_t> wrong{0};
+  std::atomic<int64_t> cold{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      for (size_t i = static_cast<size_t>(r); !stop.load(); ++i) {
+        const size_t b = i % batches.size();
+        BatchResult batch;
+        auto warm = adaptive->TryAnswerWarm(handle, batches[b],
+                                            AnswerOptions{}, &batch);
+        if (!warm.ok() || !*warm) {
+          cold.fetch_add(1);
+        } else if (batch.answers != expected[b]) {
+          wrong.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (adaptive->upgrades() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (!adaptive->RunPendingUpgrade().ran) std::this_thread::yield();
+  }
+  // Keep the readers going well past the swap.
+  const int64_t after_swap = answered.load() + 3000;
+  while (answered.load() < after_swap &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(KeyWitness(handle.current_key()), "incremental-closure");
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cold.load(), 0);
+  const PreparedStore::Stats stats = adaptive->store().stats();
+  EXPECT_EQ(stats.locked_hits, 0);
+  EXPECT_EQ(stats.misses, 1);  // the upgrade build, nothing else
 }
 
 }  // namespace
