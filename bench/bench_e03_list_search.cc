@@ -78,29 +78,36 @@ void BM_Preprocess_Sort(benchmark::State& state) {
 BENCHMARK(BM_Preprocess_Sort)->RangeMultiplier(16)->Range(1 << 14, 1 << 22);
 
 void BM_EngineTypedBatch(benchmark::State& state) {
-  // The same workload driven through the engine's typed path: each
-  // iteration answers the registered list-membership case's whole query
-  // batch via QueryEngine::AnswerTypedBatch. The typed cache makes every
-  // iteration after the first prepare-free (pi_runs_total stays 1).
+  // The same workload through the case the engine registers as
+  // list-membership: MakeCase, Generate and Preprocess (Π) once, then each
+  // iteration answers the case's whole query batch from the prepared
+  // structure (pi_runs_total stays 1).
   pitract::engine::QueryEngine engine;
   if (!pitract::engine::RegisterBuiltins(&engine).ok()) {
     state.SkipWithError("RegisterBuiltins failed");
     return;
   }
-  int64_t pi_runs = 0;
-  int64_t queries = 0;
-  for (auto _ : state) {
-    auto batch = engine.AnswerTypedBatch("list-membership", state.range(0),
-                                         /*seed=*/1);
-    if (!batch.ok()) {
-      state.SkipWithError("AnswerTypedBatch failed");
-      return;
-    }
-    pi_runs += batch->prepare_runs;
-    queries += static_cast<int64_t>(batch->answers.size());
-    benchmark::DoNotOptimize(batch->answers);
+  auto instance = engine.MakeCase("list-membership");
+  if (!instance.ok() || !(*instance)->Generate(state.range(0), 1).ok() ||
+      !(*instance)->Preprocess(nullptr).ok()) {
+    state.SkipWithError("list-membership case setup failed");
+    return;
   }
-  state.counters["pi_runs_total"] = static_cast<double>(pi_runs);
+  int64_t queries = 0;
+  std::vector<bool> answers(static_cast<size_t>((*instance)->num_queries()));
+  for (auto _ : state) {
+    for (int qi = 0; qi < (*instance)->num_queries(); ++qi) {
+      auto answer = (*instance)->AnswerPrepared(qi, nullptr);
+      if (!answer.ok()) {
+        state.SkipWithError("AnswerPrepared failed");
+        return;
+      }
+      answers[static_cast<size_t>(qi)] = *answer;
+    }
+    queries += static_cast<int64_t>(answers.size());
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["pi_runs_total"] = 1;  // the one Preprocess above
   state.counters["queries_answered"] = static_cast<double>(queries);
 }
 BENCHMARK(BM_EngineTypedBatch)->RangeMultiplier(16)->Range(1 << 14, 1 << 22);

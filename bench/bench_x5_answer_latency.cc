@@ -12,8 +12,9 @@
 //     (BuiltinOptions::enable_views = false), so every query re-decodes
 //     the Σ*-encoded Π(D): expected ns/query growing linearly in |D|;
 //   * metric=admission — per-batch overhead of the string-keyed
-//     AnswerBatch (O(|D|) key copy + hash per batch) against the
-//     digest-handle AnswerBatch (QueryEngine::Intern pays it once); the
+//     AnswerBatch (it interns the part per batch: an O(|D|) copy,
+//     fingerprint and key hash) against the digest-handle AnswerBatch
+//     (QueryEngine::Intern pays them once); the
 //     handle loop must leave PreparedStore::Stats::key_builds untouched,
 //     checked here and enforced again in engine_test.
 //   * metric=batch — the vectorised kernel layer (answer_view_batch, one
@@ -22,9 +23,6 @@
 //     per-query answer_view loop), across batch sizes; rows report
 //     queries/sec/core and bytes/query so the remaining distance to the
 //     hardware's random-access floor is visible.
-//   * metric=sorted — batch-local access-locality scheduling
-//     (AnswerOptions::sort_probes): big kernel batches answered in probe-
-//     address order vs arrival order on the same warm handle.
 //
 // One JSON line per measurement is appended to BENCH_x5_answer_latency.json
 // (or argv[1]) in the f2_landscape trajectory convention. Every row carries
@@ -145,8 +143,7 @@ struct LatencyPoint {
 LatencyPoint MeasureWarm(engine::QueryEngine* eng,
                          const engine::DataHandle& handle,
                          const std::vector<std::string>& queries,
-                         long long min_ns, long long max_batches,
-                         const engine::AnswerOptions& options = {}) {
+                         long long min_ns, long long max_batches) {
   LatencyPoint point;
   long long answered = 0;
   long long answer_work = 0;
@@ -154,7 +151,7 @@ LatencyPoint MeasureWarm(engine::QueryEngine* eng,
   pitract_bench::WallTimer timer;
   while ((timer.ElapsedNs() < min_ns || point.batches < 2) &&
          point.batches < max_batches) {
-    auto batch = eng->AnswerBatch(handle, queries, options);
+    auto batch = eng->AnswerBatch(handle, queries);
     if (!batch.ok()) {
       std::fprintf(stderr, "warm batch failed: %s\n",
                    batch.status().ToString().c_str());
@@ -481,97 +478,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- metric=sorted: batch-local access-locality scheduling.
-  //
-  // AnswerOptions::sort_probes sorts a large batch's decoded queries by
-  // probe address before the kernel call and unpermutes the answers after:
-  // random gathers over a big view become near-sequential sweeps. Only
-  // batches >= kSortProbesMinBatch engage the sort (below it, the sort
-  // costs more than the locality buys), so this section sweeps from the
-  // threshold up, arrival-order vs sorted on the same warm handle.
-  const auto min_sorted =
-      static_cast<int>(engine::AnswerOptions::kSortProbesMinBatch);
-  const std::vector<int> sorted_batches =
-      tiny ? std::vector<int>{min_sorted}
-           : std::vector<int>{min_sorted, 4 * min_sorted};
-  const int max_sorted = *std::max_element(sorted_batches.begin(),
-                                           sorted_batches.end());
-  const std::vector<BatchCase> sorted_cases = {
-      {"list-membership", big},
-      {"connectivity", big},
-      {"breadth-depth-search", big},
-  };
-
-  std::printf("\n%-22s %8s %6s %12s %12s %8s\n", "case", "n", "batch",
-              "arrival ns/q", "sorted ns/q", "speedup");
-  std::printf(
-      "----------------------------------------------------------------------"
-      "\n");
-  for (const BatchCase& sc : sorted_cases) {
-    Rng rng(0x50e7ed + static_cast<uint64_t>(sc.n));
-    Workload w;
-    if (std::strcmp(sc.name, "list-membership") == 0) {
-      w = MakeMemberWorkload(sc.n, &rng, max_sorted);
-    } else {
-      w = MakeGraphWorkload(
-          sc.n, &rng, std::strcmp(sc.name, "breadth-depth-search") == 0,
-          max_sorted);
-    }
-    engine::QueryEngine eng;
-    if (!engine::RegisterBuiltins(&eng).ok()) return 1;
-    auto handle = eng.Intern(sc.name, w.data);
-    if (!handle.ok() || !eng.AnswerBatch(*handle, w.queries).ok()) {
-      ++failures;
-      continue;
-    }
-
-    for (int batch_size : sorted_batches) {
-      const std::vector<std::string> queries(
-          w.queries.begin(), w.queries.begin() + batch_size);
-      LatencyPoint arrival_point =
-          MeasureWarm(&eng, *handle, queries, min_ns, max_batches);
-      engine::AnswerOptions sort_options;
-      sort_options.sort_probes = true;
-      LatencyPoint sorted_point = MeasureWarm(
-          &eng, *handle, queries, min_ns, max_batches, sort_options);
-      if (sorted_point.kernel_batches != sorted_point.batches) {
-        std::fprintf(stderr,
-                     "FAIL: %s sorted batches fell off the kernel path\n",
-                     sc.name);
-        ++failures;
-      }
-      const double speedup =
-          sorted_point.ns_per_query > 0
-              ? arrival_point.ns_per_query / sorted_point.ns_per_query
-              : -1;
-      std::printf("%-22s %8lld %6d %12.1f %12.1f %7.2fx\n", sc.name,
-                  static_cast<long long>(sc.n), batch_size,
-                  arrival_point.ns_per_query, sorted_point.ns_per_query,
-                  speedup);
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "{\"bench\":\"x5_answer_latency\",\"case\":\"%s\","
-                     "\"n\":%lld,\"metric\":\"sorted\",\"batch\":%d,"
-                     "\"order\":\"arrival\",\"batches\":%lld,"
-                     "\"ns_per_query\":%.1f,\"bytes_per_query\":%.1f,"
-                     "\"hardware_concurrency\":%d}\n",
-                     sc.name, static_cast<long long>(sc.n), batch_size,
-                     arrival_point.batches, arrival_point.ns_per_query,
-                     arrival_point.bytes_per_query, hardware_concurrency);
-        std::fprintf(json,
-                     "{\"bench\":\"x5_answer_latency\",\"case\":\"%s\","
-                     "\"n\":%lld,\"metric\":\"sorted\",\"batch\":%d,"
-                     "\"order\":\"sorted\",\"batches\":%lld,"
-                     "\"ns_per_query\":%.1f,\"bytes_per_query\":%.1f,"
-                     "\"hardware_concurrency\":%d}\n",
-                     sc.name, static_cast<long long>(sc.n), batch_size,
-                     sorted_point.batches, sorted_point.ns_per_query,
-                     sorted_point.bytes_per_query, hardware_concurrency);
-        json_lines += 2;
-      }
-    }
-  }
-
   if (json != nullptr) {
     std::fclose(json);
     std::printf("\n(appended %zu JSON lines to %s)\n", json_lines, json_path);
@@ -584,9 +490,6 @@ int main(int argc, char** argv) {
       "The batch table shows the vectorised kernels amortizing dispatch,\n"
       "parsing and metering to once per batch: kernel ns/query should beat\n"
       "the scalar view loop from batch >= 64, with bytes/query exposing the\n"
-      "remaining gap to the memory's random-access floor. The sorted table\n"
-      "shows probe-address ordering turning those random gathers into\n"
-      "near-sequential ones once the batch is big enough to amortize the\n"
-      "sort.\n");
+      "remaining gap to the memory's random-access floor.\n");
   return failures == 0 ? 0 : 1;
 }

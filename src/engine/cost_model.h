@@ -123,10 +123,10 @@ class CostProfile {
 /// The witness-selection solver (PIMProf-CostSolver shape): enumerate the
 /// registered alternatives for a problem against a blend of static
 /// descriptors and measured CostProfiles, and pick the cheapest expected
-/// total for this data part. A part is scored at admission (Intern, a
-/// string-keyed batch with no cached choice) and again, with the serving
-/// witness as incumbent, each time its traffic crosses a doubling
-/// boundary; the published-snapshot hit path never scores.
+/// total for this data part. A part is scored at admission (Intern, which
+/// string-keyed batches go through, when no choice is cached) and again,
+/// with the serving witness as incumbent, each time its traffic crosses a
+/// doubling boundary; the published-snapshot hit path never scores.
 ///
 /// Thread-safe: the per-part traffic and choice maps are guarded by one
 /// mutex.
@@ -191,9 +191,9 @@ class CostModel {
   int64_t TrafficFor(uint64_t part_fingerprint) const;
 
   /// Sticky per-part choice cache: the candidate index a part is served
-  /// from, so string-keyed batches, Intern and ApplyDelta reuse it without
-  /// re-scoring. Set at first selection and switched only by a completed
-  /// warm upgrade. -1 = no cached choice.
+  /// from, so Intern (and through it every string-keyed batch) and
+  /// ApplyDelta reuse it without re-scoring. Set at first selection and
+  /// switched only by a completed warm upgrade. -1 = no cached choice.
   int ChoiceFor(uint64_t part_fingerprint) const;
   void SetChoice(uint64_t part_fingerprint, int index);
 

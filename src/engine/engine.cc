@@ -8,34 +8,6 @@
 namespace pitract {
 namespace engine {
 
-Result<BatchResult> RunBatch(BatchPath* path) {
-  BatchResult result;
-  CostMeter prepare_meter;
-  auto outcome = path->Prepare(&prepare_meter);
-  if (!outcome.ok()) return outcome.status();
-  result.prepare_runs = outcome->ran_pi ? 1 : 0;
-  result.cache_hit = outcome->cache_hit;
-  result.prepare_cost = prepare_meter.cost();
-
-  const int n = path->num_queries();
-  result.answers.reserve(static_cast<size_t>(n));
-  CostMeter answer_meter;
-  auto handled =
-      path->TryAnswerAll(&result.answers, &result.mode, &answer_meter);
-  if (!handled.ok()) return handled.status();
-  if (!*handled) {
-    for (int qi = 0; qi < n; ++qi) {
-      auto answer = path->AnswerOne(qi, &answer_meter);
-      if (!answer.ok()) return answer.status();
-      result.answers.push_back(*answer);
-    }
-    result.mode = BatchAnswerMode::kScalar;
-  }
-  result.answer_cost = answer_meter.cost();
-  result.answer_bytes_read = answer_meter.bytes_read();
-  return result;
-}
-
 namespace {
 
 /// The store-entry knobs one witness candidate supplies for its Π(D)
@@ -82,202 +54,61 @@ void RecordMeasuredBuild(CostProfile* profile, size_t data_bytes,
   }
 }
 
-/// Σ*-string path: Π through the PreparedStore, answers via the *selected*
-/// witness (primary or a registered alternative) — through the memoized
-/// decoded view when that witness provides one, else via the string
-/// `answer` hook. The caller resolves which witness a key names and hands
-/// in its hooks, entry options, and measured-cost profile.
-class WitnessBatchPath : public BatchPath {
- public:
-  /// Blocking flavor: Π(data) under `key`, which the caller built (or took
-  /// from a handle's route) and which names `witness`.
-  WitnessBatchPath(const core::PiWitness& witness, CostProfile* profile,
-                   PreparedStore::EntryOptions entry_options,
-                   PreparedStore* store, const std::string& data,
-                   const PreparedStore::Key& key,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options)
-      : witness_(witness),
-        profile_(profile),
-        entry_options_(std::move(entry_options)),
-        store_(store),
-        data_(&data),
-        key_(&key),
-        queries_(queries),
-        options_(options) {}
-  /// Warm-probe flavor (TryAnswerWarm): the caller already fetched the
-  /// entry's PreparedView from the published snapshot, so Prepare charges
-  /// the probe op and serves it — no second store lookup, no second hit
-  /// counted.
-  WitnessBatchPath(const core::PiWitness& witness, CostProfile* profile,
-                   PreparedStore* store, PreparedStore::PreparedView prefetched,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options)
-      : witness_(witness),
-        profile_(profile),
-        store_(store),
-        queries_(queries),
-        options_(options),
-        prefetched_(std::move(prefetched)),
-        have_prefetched_(true) {}
-
-  Result<PrepareOutcome> Prepare(CostMeter* meter) override {
-    if (have_prefetched_) {
-      prepared_ = std::move(prefetched_.prepared);
-      view_ = std::move(prefetched_.view);
-      // Parity with a served snapshot hit: ServeHit already counted the
-      // store-side hit when the caller probed; the batch still charges
-      // the one probe op so warm prepare_cost matches the blocking path.
-      if (meter != nullptr) meter->AddSerial(1);
-      return PrepareOutcome{/*ran_pi=*/false, /*cache_hit=*/true};
-    }
-    bool hit = false;
-    int64_t build_ops = -1;
-    auto prepared = store_->GetOrComputeView(
-        *key_, MeasuredCompute(witness_, *data_, &build_ops), meter, &hit,
-        entry_options_);
-    if (!prepared.ok()) return prepared.status();
-    RecordMeasuredBuild(profile_, data_->size(), *prepared, build_ops);
-    prepared_ = std::move(prepared->prepared);
-    view_ = std::move(prepared->view);
-    return PrepareOutcome{/*ran_pi=*/!hit, /*cache_hit=*/hit};
-  }
-
-  Result<bool> AnswerOne(int qi, CostMeter* meter) override {
-    const std::string& query = queries_[static_cast<size_t>(qi)];
-    if (view_ != nullptr && witness_.answer_view) {
-      return witness_.answer_view(view_.get(), query, meter);
-    }
-    return witness_.answer(*prepared_, query, meter);
-  }
-
-  /// Amortized batch path: every query of the batch is decoded exactly
-  /// once up front (one reusable int64 scratch buffer, no per-query
-  /// re-parsing), then the whole span is answered by the witness's batch
-  /// kernel when it has one, else by the decoded-scalar loop.
-  Result<bool> TryAnswerAll(std::vector<bool>* answers, BatchAnswerMode* mode,
-                            CostMeter* meter) override {
-    const core::PiWitness& w = witness_;
-    if (view_ == nullptr) return false;
-    const bool kernel = w.has_batch_kernel();
-    if (!kernel && !w.has_decoded_answer()) return false;
-
-    const size_t n = queries_.size();
-    decoded_.resize(n);
-    int_scratch_.clear();
+/// The answer half of a batch, from one served Π(D) under `w`: every query
+/// is decoded once up front (one reusable int64 scratch buffer), then the
+/// whole span is answered by the witness's batch kernel when it has one,
+/// else by the decoded loop. A witness without a decoded view answers
+/// query by query through `answer_view` or the string `answer` hook. The
+/// first error fails the whole batch on every path.
+Status AnswerPrepared(const core::PiWitness& w,
+                      const PreparedStore::PreparedView& prepared,
+                      std::span<const std::string> queries,
+                      BatchResult* result) {
+  CostMeter meter;
+  const void* view = prepared.view.get();
+  const size_t n = queries.size();
+  std::vector<bool>& answers = result->answers;
+  answers.reserve(n);
+  if (view != nullptr && (w.has_batch_kernel() || w.has_decoded_answer())) {
+    std::vector<core::DecodedQuery> decoded(n);
+    std::vector<int64_t> scratch;
     for (size_t i = 0; i < n; ++i) {
-      // First decode error fails the batch, matching the scalar loop's
-      // first-error-wins contract (the scalar path would have failed on
-      // the same query's parse).
       PITRACT_RETURN_IF_ERROR(
-          w.decode_query(queries_[i], &decoded_[i], &int_scratch_));
+          w.decode_query(queries[i], &decoded[i], &scratch));
     }
-
-    answers->clear();
-    answers->reserve(n);
-    if (kernel) {
-      raw_answers_.resize(n);
-      if (options_.sort_probes && n >= AnswerOptions::kSortProbesMinBatch) {
-        // Access-locality scheduling: probe the view in address order, not
-        // arrival order. The permutation is applied to a copy of the
-        // decoded span (so the kernel still sees a contiguous span) and
-        // inverted on the 0/1 answers, which is cheap — answers are one
-        // byte each, queries sixteen.
-        perm_.resize(n);
-        for (size_t i = 0; i < n; ++i) perm_[i] = i;
-        std::sort(perm_.begin(), perm_.end(), [this](size_t x, size_t y) {
-          const core::DecodedQuery& qx = decoded_[x];
-          const core::DecodedQuery& qy = decoded_[y];
-          return qx.a != qy.a ? qx.a < qy.a : qx.b < qy.b;
-        });
-        sorted_.resize(n);
-        for (size_t i = 0; i < n; ++i) sorted_[i] = decoded_[perm_[i]];
-        sorted_answers_.resize(n);
-        PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
-            view_.get(), sorted_, std::span<uint8_t>(sorted_answers_),
-            meter));
-        for (size_t i = 0; i < n; ++i) {
-          raw_answers_[perm_[i]] = sorted_answers_[i];
-        }
-      } else {
-        PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
-            view_.get(), decoded_, std::span<uint8_t>(raw_answers_), meter));
+    if (w.has_batch_kernel()) {
+      std::vector<uint8_t> raw(n);
+      PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
+          view, decoded, std::span<uint8_t>(raw), &meter));
+      answers.assign(raw.begin(), raw.end());
+      result->mode = BatchAnswerMode::kKernel;
+    } else {
+      for (const core::DecodedQuery& query : decoded) {
+        auto answer = w.answer_view_decoded(view, query, &meter);
+        if (!answer.ok()) return answer.status();
+        answers.push_back(*answer);
       }
-      answers->assign(raw_answers_.begin(), raw_answers_.end());
-      *mode = BatchAnswerMode::kKernel;
-      return true;
+      result->mode = BatchAnswerMode::kPreDecoded;
     }
-    for (size_t i = 0; i < n; ++i) {
-      auto answer = w.answer_view_decoded(view_.get(), decoded_[i], meter);
+  } else {
+    for (const std::string& query : queries) {
+      auto answer = view != nullptr && w.answer_view
+                        ? w.answer_view(view, query, &meter)
+                        : w.answer(*prepared.prepared, query, &meter);
       if (!answer.ok()) return answer.status();
-      answers->push_back(*answer);
+      answers.push_back(*answer);
     }
-    *mode = BatchAnswerMode::kPreDecoded;
-    return true;
+    result->mode = BatchAnswerMode::kScalar;
   }
-
-  int num_queries() const override {
-    return static_cast<int>(queries_.size());
-  }
-
- private:
-  const core::PiWitness& witness_;
-  CostProfile* profile_ = nullptr;
-  PreparedStore::EntryOptions entry_options_;
-  PreparedStore* store_;
-  const std::string* data_ = nullptr;
-  const PreparedStore::Key* key_ = nullptr;
-  std::span<const std::string> queries_;
-  AnswerOptions options_;
-  PreparedStore::PreparedView prefetched_;
-  bool have_prefetched_ = false;
-  std::shared_ptr<const std::string> prepared_;
-  std::shared_ptr<const void> view_;
-  // Per-batch scratch (decoded queries, int64 decode buffer, kernel 0/1
-  // output, probe-order permutation) — sized once per batch, reused
-  // across its queries.
-  std::vector<core::DecodedQuery> decoded_;
-  std::vector<int64_t> int_scratch_;
-  std::vector<uint8_t> raw_answers_;
-  std::vector<size_t> perm_;
-  std::vector<core::DecodedQuery> sorted_;
-  std::vector<uint8_t> sorted_answers_;
-};
-
-/// Typed path: the deployed in-memory case behind the same interface.
-class TypedCaseBatchPath : public BatchPath {
- public:
-  TypedCaseBatchPath(core::QueryClassCase* instance, bool already_prepared)
-      : instance_(instance), already_prepared_(already_prepared) {}
-
-  Result<PrepareOutcome> Prepare(CostMeter* meter) override {
-    if (already_prepared_) {
-      if (meter != nullptr) meter->AddSerial(1);  // the cache probe
-      return PrepareOutcome{/*ran_pi=*/false, /*cache_hit=*/true};
-    }
-    PITRACT_RETURN_IF_ERROR(instance_->Preprocess(meter));
-    return PrepareOutcome{/*ran_pi=*/true, /*cache_hit=*/false};
-  }
-
-  Result<bool> AnswerOne(int qi, CostMeter* meter) override {
-    return instance_->AnswerPrepared(qi, meter);
-  }
-
-  int num_queries() const override { return instance_->num_queries(); }
-
- private:
-  core::QueryClassCase* instance_;
-  bool already_prepared_;
-};
+  result->answer_cost = meter.cost();
+  result->answer_bytes_read = meter.bytes_read();
+  return Status::OK();
+}
 
 }  // namespace
 
-QueryEngine::QueryEngine(size_t store_capacity, size_t typed_capacity)
-    : store_(store_capacity), typed_capacity_(typed_capacity) {}
-
-QueryEngine::QueryEngine(const PreparedStore::Options& store_options,
-                         size_t typed_capacity)
-    : store_(store_options), typed_capacity_(typed_capacity) {}
+QueryEngine::QueryEngine(const PreparedStore::Options& store_options)
+    : store_(store_options) {}
 
 uint64_t QueryEngine::PartFingerprint(std::string_view data) {
   return Fnv1a64(data);
@@ -450,28 +281,33 @@ UpgradeOutcome QueryEngine::RunPendingUpgrade(CostMeter* meter) {
 UpgradeOutcome QueryEngine::RunUpgrade(const UpgradeJob& job,
                                        CostMeter* meter) {
   UpgradeOutcome outcome;
+  const ProblemEntry& entry = *job.entry;
+  const SelectedWitness to = CandidateAt(entry, job.to);
   // A batch answered from the old witness can cross a doubling just after
-  // an upgrade of its part completed; its job finds the part moved on and
-  // is dropped.
-  const bool moved_on =
-      job.route != nullptr
-          ? job.route->key().bytes != job.from_key.bytes
-          : cost_model_.ChoiceFor(job.part_fingerprint) == job.to;
-  if (moved_on) {
+  // an upgrade of its part completed: through its own route, or through
+  // another handle of the part (a string-keyed caller interns a private
+  // one per batch or item). Its job finds the part moved on and is
+  // dropped; a route the other handle's upgrade left behind is pointed at
+  // the upgraded entry, which the sticky choice says is published.
+  const bool route_moved =
+      job.route != nullptr && job.route->key().bytes != job.from_key.bytes;
+  if (route_moved || cost_model_.ChoiceFor(job.part_fingerprint) == job.to) {
+    if (!route_moved && job.route != nullptr) {
+      job.route->Switch(
+          store_.BuildKeyCounted(entry.name, to.witness->name, *job.data));
+    }
     std::lock_guard<std::mutex> lock(upgrade_mutex_);
     upgrading_.erase(job.part_fingerprint);
     return outcome;
   }
   outcome.ran = true;
-  const ProblemEntry& entry = *job.entry;
-  const SelectedWitness to = CandidateAt(entry, job.to);
   Status& status = outcome.status;
   if (PITRACT_FAILPOINT("engine.witness_upgrade")) {
     status = Status::Internal("failpoint engine.witness_upgrade fired");
   } else {
     PreparedStore::Key key =
         store_.BuildKeyCounted(entry.name, to.witness->name, *job.data);
-    status = PrepareWith(entry, to, job.data, key, meter, &outcome.ran_pi);
+    status = PrepareWith(entry, to, *job.data, key, meter, &outcome.ran_pi);
     if (status.ok()) {
       // The upgraded entry is published before anything points at it, so
       // a reader that follows the switched route hits it warm; a reader
@@ -596,113 +432,77 @@ std::vector<std::string> QueryEngine::Names() const {
   return names;
 }
 
-Result<BatchResult> QueryEngine::AnswerBatch(
-    std::string_view problem, const std::string& data,
-    std::span<const std::string> queries) {
-  return AnswerBatch(problem, data, queries, AnswerOptions{});
-}
-
-Result<BatchResult> QueryEngine::AnswerBatch(
-    std::string_view problem, const std::string& data,
-    std::span<const std::string> queries, const AnswerOptions& options) {
+Result<const ProblemEntry*> QueryEngine::FindLanguage(
+    std::string_view problem) const {
   auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
+  if (entry.ok() && !(*entry)->has_language) {
     return Status::FailedPrecondition("problem '" + std::string(problem) +
                                       "' has no Σ*-level witness");
   }
-  // Selection (and its O(|D|) fingerprint) only runs when this entry has
-  // alternatives and the model is live; the single-witness path is
-  // byte-for-byte the pre-adaptive one.
-  uint64_t fp = 0;
-  if (!(*entry)->alternatives.empty() &&
-      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
-    fp = PartFingerprint(data);
-  }
-  const SelectedWitness sel = SelectWitness(**entry, &data, fp);
-  // The one O(|D|) key build a string-keyed batch pays.
-  PreparedStore::Key key =
-      store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
-  WitnessBatchPath path(
-      *sel.witness, sel.profile,
-      MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
-                       sel.descriptor, data.size()),
-      &store_, data, key, queries, options);
-  auto result = RunBatch(&path);
-  if (!result.ok()) return result;
-  const int upgrade = NoteAnswered(**entry, sel, fp, data.size(),
-                                   static_cast<int64_t>(queries.size()),
-                                   result->answer_cost.work);
-  if (upgrade >= 0) {
-    // A blocking caller pays Π inline on its own miss; it pays an upgrade
-    // it triggers the same way, after its batch is answered. The outcome
-    // is the upgrade's, not the batch's: a failed one leaves the old
-    // witness serving.
-    (void)RunUpgrade({*entry, std::make_shared<const std::string>(data),
-                      nullptr, std::move(key), upgrade, fp},
-                     nullptr);
-  }
-  return result;
+  return entry;
 }
 
 Result<DataHandle> QueryEngine::Intern(std::string_view problem,
                                        std::string data) const {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
+  PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry, FindLanguage(problem));
   DataHandle handle;
   handle.problem = std::string(problem);
   handle.data = std::make_shared<const std::string>(std::move(data));
-  handle.part_fingerprint = PartFingerprint(*handle.data);
+  // Only a live model over several witnesses tracks parts by fingerprint;
+  // every other part skips the O(|D|) hash.
+  if (!entry->alternatives.empty() &&
+      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
+    handle.part_fingerprint = PartFingerprint(*handle.data);
+  }
   // Admission is where the solver earns its keep: the handle's key embeds
   // the witness the cost model picked for this part, and every later batch
   // over the handle flows through that choice with zero re-selection work.
   const SelectedWitness sel =
-      SelectWitness(**entry, handle.data.get(), handle.part_fingerprint);
-  handle.key = PreparedStore::InternKey((*entry)->name, sel.witness->name,
-                                        *handle.data);
+      SelectWitness(*entry, handle.data.get(), handle.part_fingerprint);
+  handle.key =
+      store_.BuildKeyCounted(entry->name, sel.witness->name, *handle.data);
   handle.route = std::make_shared<WitnessRoute>(handle.key);
   return handle;
 }
 
 Result<BatchResult> QueryEngine::AnswerBatch(
-    const DataHandle& handle, std::span<const std::string> queries) {
-  return AnswerBatch(handle, queries, AnswerOptions{});
+    std::string_view problem, const std::string& data,
+    std::span<const std::string> queries) {
+  PITRACT_ASSIGN_OR_RETURN(DataHandle handle, Intern(problem, data));
+  return AnswerBatch(handle, queries);
 }
 
 Result<BatchResult> QueryEngine::AnswerBatch(
-    const DataHandle& handle, std::span<const std::string> queries,
-    const AnswerOptions& options) {
+    const DataHandle& handle, std::span<const std::string> queries) {
   if (handle.data == nullptr || handle.key.bytes == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
-  auto entry = Find(handle.problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + handle.problem +
-                                      "' has no Σ*-level witness");
-  }
+  PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry,
+                           FindLanguage(handle.problem));
   // Answer hooks come from the witness the route's current key names,
   // never from the current selection: the key says what the payload is.
   const PreparedStore::Key& key = handle.current_key();
-  const SelectedWitness sel = ResolveWitnessFromKey(**entry, key);
-  WitnessBatchPath path(
-      *sel.witness, sel.profile,
-      MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
-                       sel.descriptor, handle.data->size()),
-      &store_, *handle.data, key, queries, options);
-  auto result = RunBatch(&path);
-  if (!result.ok()) return result;
+  const SelectedWitness sel = ResolveWitnessFromKey(*entry, key);
+  BatchResult result;
+  CostMeter prepare_meter;
+  bool ran_pi = false;
+  PreparedStore::PreparedView view;
+  PITRACT_RETURN_IF_ERROR(PrepareWith(*entry, sel, *handle.data, key,
+                                      &prepare_meter, &ran_pi, &view));
+  result.prepare_runs = ran_pi ? 1 : 0;
+  result.cache_hit = !ran_pi;
+  result.prepare_cost = prepare_meter.cost();
+  PITRACT_RETURN_IF_ERROR(AnswerPrepared(*sel.witness, view, queries, &result));
   const int upgrade =
-      NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
+      NoteAnswered(*entry, sel, handle.part_fingerprint, handle.data->size(),
                    static_cast<int64_t>(queries.size()),
-                   result->answer_cost.work);
+                   result.answer_cost.work);
   if (upgrade >= 0) {
-    // Inline, as on the string-keyed blocking face.
-    (void)RunUpgrade({*entry, handle.data, handle.route, key, upgrade,
+    // A blocking caller pays Π inline on its own miss; it pays an upgrade
+    // it triggers the same way, after its batch is answered. The outcome
+    // is the upgrade's, not the batch's: a failed one leaves the old
+    // witness serving.
+    (void)RunUpgrade({entry, handle.data, handle.route, key, upgrade,
                       handle.part_fingerprint},
                      nullptr);
   }
@@ -711,93 +511,42 @@ Result<BatchResult> QueryEngine::AnswerBatch(
 
 Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
                                         std::span<const std::string> queries,
-                                        const AnswerOptions& options,
                                         BatchResult* result) {
   if (handle.data == nullptr || handle.key.bytes == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
-  auto entry = Find(handle.problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + handle.problem +
-                                      "' has no Σ*-level witness");
-  }
+  PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry,
+                           FindLanguage(handle.problem));
   // One acquire load: the key the part answers from now.
   const PreparedStore::Key& key = handle.current_key();
-  const SelectedWitness sel = ResolveWitnessFromKey(**entry, key);
+  const SelectedWitness sel = ResolveWitnessFromKey(*entry, key);
   PreparedStore::PreparedView view;
   if (!store_.TryGetView(key,
                          MakeEntryOptions(*sel.witness, sel.size_of,
-                                          (*entry)->spillable, sel.descriptor,
+                                          entry->spillable, sel.descriptor,
                                           handle.data->size()),
                          nullptr, &view)) {
     return false;  // cold: the caller parks the batch and prepares off-path
   }
-  WitnessBatchPath path(*sel.witness, sel.profile, &store_, std::move(view),
-                        queries, options);
-  auto answered = RunBatch(&path);
-  if (!answered.ok()) return answered.status();
+  BatchResult answered;
+  answered.cache_hit = true;
+  // Parity with the blocking face's hit: the probe already counted the
+  // store-side hit; the batch charges the one probe op.
+  CostMeter prepare_meter;
+  prepare_meter.AddSerial(1);
+  answered.prepare_cost = prepare_meter.cost();
+  PITRACT_RETURN_IF_ERROR(
+      AnswerPrepared(*sel.witness, view, queries, &answered));
   const int upgrade =
-      NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
+      NoteAnswered(*entry, sel, handle.part_fingerprint, handle.data->size(),
                    static_cast<int64_t>(queries.size()),
-                   answered->answer_cost.work);
+                   answered.answer_cost.work);
   if (upgrade >= 0) {
-    QueueUpgrade({*entry, handle.data, handle.route, key, upgrade,
+    QueueUpgrade({entry, handle.data, handle.route, key, upgrade,
                   handle.part_fingerprint});
-    answered->upgrade_queued = true;
+    answered.upgrade_queued = true;
   }
-  *result = std::move(answered).value();
-  return true;
-}
-
-Result<bool> QueryEngine::TryAnswerWarm(std::string_view problem,
-                                        const std::string& data,
-                                        std::span<const std::string> queries,
-                                        const AnswerOptions& options,
-                                        BatchResult* result,
-                                        PreparedStore::Key* cold_key) {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
-  uint64_t fp = 0;
-  if (!(*entry)->alternatives.empty() &&
-      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
-    fp = PartFingerprint(data);
-  }
-  const SelectedWitness sel = SelectWitness(**entry, &data, fp);
-  // The one O(|D|) key build this call pays, counted like every other
-  // string-keyed admission; a parked caller hands the key to its preparer
-  // so the bytes are never hashed twice — and the key carries the solver's
-  // witness choice, so the preparer builds the Π that was selected here.
-  PreparedStore::Key key =
-      store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
-  PreparedStore::PreparedView view;
-  if (!store_.TryGetView(key,
-                         MakeEntryOptions(*sel.witness, sel.size_of,
-                                          (*entry)->spillable, sel.descriptor,
-                                          data.size()),
-                         nullptr, &view)) {
-    if (cold_key != nullptr) *cold_key = std::move(key);
-    return false;
-  }
-  WitnessBatchPath path(*sel.witness, sel.profile, &store_, std::move(view),
-                        queries, options);
-  auto answered = RunBatch(&path);
-  if (!answered.ok()) return answered.status();
-  const int upgrade = NoteAnswered(**entry, sel, fp, data.size(),
-                                   static_cast<int64_t>(queries.size()),
-                                   answered->answer_cost.work);
-  if (upgrade >= 0) {
-    // The one O(|D|) copy an upgrade costs this face: the queued build
-    // outlives the caller's bytes.
-    QueueUpgrade({*entry, std::make_shared<const std::string>(data), nullptr,
-                  std::move(key), upgrade, fp});
-    answered->upgrade_queued = true;
-  }
-  *result = std::move(answered).value();
+  *result = std::move(answered);
   return true;
 }
 
@@ -808,32 +557,29 @@ Status QueryEngine::Prepare(std::string_view problem,
   if (data == nullptr || key.bytes == nullptr) {
     return Status::InvalidArgument("Prepare needs a data part and its key");
   }
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
+  PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry, FindLanguage(problem));
   // A parked cold key already embeds the witness the admission-time solver
   // chose; parsing it back out makes the preparer build exactly that Π.
-  return PrepareWith(**entry, ResolveWitnessFromKey(**entry, key), data, key,
+  return PrepareWith(*entry, ResolveWitnessFromKey(*entry, key), *data, key,
                      meter, ran_pi);
 }
 
 Status QueryEngine::PrepareWith(const ProblemEntry& entry,
                                 const SelectedWitness& sel,
-                                const std::shared_ptr<const std::string>& data,
+                                const std::string& data,
                                 const PreparedStore::Key& key,
-                                CostMeter* meter, bool* ran_pi) {
+                                CostMeter* meter, bool* ran_pi,
+                                PreparedStore::PreparedView* view) {
   bool hit = false;
   int64_t build_ops = -1;
   auto prepared = store_.GetOrComputeView(
-      key, MeasuredCompute(*sel.witness, *data, &build_ops), meter, &hit,
+      key, MeasuredCompute(*sel.witness, data, &build_ops), meter, &hit,
       MakeEntryOptions(*sel.witness, sel.size_of, entry.spillable,
-                       sel.descriptor, data->size()));
+                       sel.descriptor, data.size()));
   if (!prepared.ok()) return prepared.status();
-  RecordMeasuredBuild(sel.profile, data->size(), *prepared, build_ops);
+  RecordMeasuredBuild(sel.profile, data.size(), *prepared, build_ops);
   if (ran_pi != nullptr) *ran_pi = !hit;
+  if (view != nullptr) *view = std::move(prepared).value();
   return Status::OK();
 }
 
@@ -852,14 +598,9 @@ Result<bool> QueryEngine::Answer(std::string_view problem,
 Result<bool> QueryEngine::AnswerInstance(std::string_view problem,
                                          const std::string& x,
                                          CostMeter* meter) {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
-  PITRACT_ASSIGN_OR_RETURN(std::string data, (*entry)->factorization.pi1(x));
-  PITRACT_ASSIGN_OR_RETURN(std::string query, (*entry)->factorization.pi2(x));
+  PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry, FindLanguage(problem));
+  PITRACT_ASSIGN_OR_RETURN(std::string data, entry->factorization.pi1(x));
+  PITRACT_ASSIGN_OR_RETURN(std::string query, entry->factorization.pi2(x));
   return Answer(problem, data, query, meter);
 }
 
@@ -867,12 +608,8 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(std::string_view problem,
                                              const std::string& data,
                                              const DeltaBatch& delta,
                                              CostMeter* meter) {
-  auto entry = Find(problem);
+  auto entry = FindLanguage(problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
   if (!(*entry)->apply_delta_to_data) {
     return Status::FailedPrecondition("problem '" + std::string(problem) +
                                       "' registers no data-delta hook");
@@ -946,70 +683,6 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(std::string_view problem,
     outcome.fallback_reason = patched;
   }
   return outcome;
-}
-
-Result<BatchResult> QueryEngine::AnswerTypedBatch(std::string_view problem,
-                                                  int64_t n, uint64_t seed) {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->make_case) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no typed case");
-  }
-  std::shared_ptr<core::QueryClassCase> cached;
-  uint64_t generation_at_miss = 0;
-  {
-    std::lock_guard<std::mutex> lock(typed_mutex_);
-    auto slot = std::find_if(typed_cache_.begin(), typed_cache_.end(),
-                             [&](const TypedSlot& s) {
-                               return s.Matches(problem, n, seed);
-                             });
-    if (slot != typed_cache_.end()) {
-      // Cached slots are always prepared: insertion happens below only
-      // after a fully successful batch. The shared_ptr keeps the instance
-      // alive even if another thread trims it out of the cache mid-batch.
-      typed_cache_.splice(typed_cache_.begin(), typed_cache_, slot);
-      cached = slot->instance;
-    } else {
-      generation_at_miss = typed_generation_;
-    }
-  }
-  if (cached != nullptr) {
-    TypedCaseBatchPath path(cached.get(), /*already_prepared=*/true);
-    return RunBatch(&path);
-  }
-  // Cold key: generate and prepare outside the lock (two racing threads may
-  // each do this once; only the first inserts, the other's work is dropped).
-  std::shared_ptr<core::QueryClassCase> fresh = (*entry)->make_case();
-  if (fresh == nullptr) {
-    return Status::Internal("typed case factory for '" + std::string(problem) +
-                            "' returned null");
-  }
-  PITRACT_RETURN_IF_ERROR(fresh->Generate(n, seed));
-  TypedCaseBatchPath path(fresh.get(), /*already_prepared=*/false);
-  auto result = RunBatch(&path);
-  if (!result.ok()) return result.status();  // never cache a failed prepare
-  {
-    std::lock_guard<std::mutex> lock(typed_mutex_);
-    // Re-scan for a racing duplicate only when an insert actually landed
-    // since the miss — the uncontended cold path skips the second scan.
-    bool duplicate = false;
-    if (typed_generation_ != generation_at_miss) {
-      duplicate = std::any_of(typed_cache_.begin(), typed_cache_.end(),
-                              [&](const TypedSlot& s) {
-                                return s.Matches(problem, n, seed);
-                              });
-    }
-    if (!duplicate) {
-      typed_cache_.push_front(
-          TypedSlot{std::string(problem), n, seed, std::move(fresh)});
-      ++typed_generation_;
-      if (typed_capacity_ > 0) {  // 0 = unbounded, like the PreparedStore
-        while (typed_cache_.size() > typed_capacity_) typed_cache_.pop_back();
-      }
-    }
-  }
-  return result;
 }
 
 Result<std::unique_ptr<core::QueryClassCase>> QueryEngine::MakeCase(

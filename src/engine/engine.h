@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,8 +49,8 @@ struct WitnessAlternative {
 
 /// One registered problem: the Σ*-level artifacts of Definition 1
 /// (reference semantics, factorization Υ, Π-tractability witness) plus,
-/// when the deployed in-memory form exists, its typed-case factory. Both
-/// execution paths answer through the engine under this one name.
+/// when the deployed in-memory form exists, its typed-case factory
+/// (handed out by `QueryEngine::MakeCase`), all under this one name.
 struct ProblemEntry {
   std::string name;
   std::string paper_anchor;
@@ -62,7 +61,8 @@ struct ProblemEntry {
   core::Factorization factorization;
   core::PiWitness witness;
 
-  /// Typed path (absent for Σ*-only entries such as reduced problems).
+  /// Typed case factory (absent for Σ*-only entries such as reduced
+  /// problems).
   std::function<std::unique_ptr<core::QueryClassCase>()> make_case;
 
   /// Size estimate (bytes) for this entry's prepared Π(D) payloads, used
@@ -117,12 +117,13 @@ class WitnessRoute {
   std::atomic<const PreparedStore::Key*> current_;
 };
 
-/// A pre-admitted data part for the Σ*-witness path. `QueryEngine::Intern`
-/// resolves the registry entry and pays the O(|D|) store-key build +
-/// content hash exactly once; every subsequent `AnswerBatch(handle, ...)`
-/// reuses the digest and key bytes, so a warm batch does zero |D|-sized
-/// work end to end (the store re-validates by shared-pointer equality).
-/// Copy/share handles freely across threads.
+/// A prepared data part: the one thing every answer face answers through.
+/// `QueryEngine::Intern` resolves the registry entry and pays the O(|D|)
+/// store-key build + content hash exactly once (counted in
+/// `Stats::key_builds`); every subsequent batch over the handle reuses the
+/// digest and key bytes, so a warm batch does zero |D|-sized work end to
+/// end (the store re-validates by shared-pointer equality). Copy/share
+/// handles freely across threads.
 ///
 /// Contract: `key` names the witness the handle was interned under and
 /// never changes. The handle's answers follow its `route`: when a warm
@@ -138,34 +139,17 @@ struct DataHandle {
   PreparedStore::Key key;
   /// Content fingerprint of the *data part alone* (witness-independent,
   /// unlike `key`'s digest): the CostModel's per-part traffic/choice index.
-  /// Computed once at Intern; 0 on hand-rolled handles disables tracking.
+  /// Computed once at Intern when the entry has alternatives and the
+  /// policy is not kPrimaryOnly; 0 (any other part, or a hand-rolled
+  /// handle) disables tracking.
   uint64_t part_fingerprint = 0;
-  /// Set by Intern. Hand-rolled handles have none and answer from `key`.
+  /// Set by Intern; a handle without one answers from `key`.
   std::shared_ptr<WitnessRoute> route = nullptr;
 
   /// The key answers come from now.
   const PreparedStore::Key& current_key() const {
     return route != nullptr ? route->key() : key;
   }
-};
-
-/// Per-batch answering knobs (orthogonal to the per-entry EntryOptions the
-/// registry supplies).
-struct AnswerOptions {
-  /// Batch-local access-locality scheduling: for kernel-path batches of at
-  /// least kSortProbesMinBatch queries, sort the decoded span by probe
-  /// address before the kernel call and unpermute the answers after, so
-  /// random gathers over a big view become near-sequential ones. Below the
-  /// threshold the sort costs more than the locality buys, so small
-  /// batches always run in arrival order.
-  bool sort_probes = false;
-  static constexpr size_t kSortProbesMinBatch = 4096;
-};
-
-/// What Prepare did for this batch.
-struct PrepareOutcome {
-  bool ran_pi = false;     // Π actually executed
-  bool cache_hit = false;  // the prepared structure was served from a cache
 };
 
 /// How the answering half of a batch executed.
@@ -211,64 +195,31 @@ struct UpgradeOutcome {
   Status status;
 };
 
-/// The single prepare-once/answer-many contract that both execution paths
-/// (the Σ*-string witness path and the typed deployed-case path) implement.
-/// `RunBatch` is the one driver loop: Prepare exactly once, then answer
-/// the batch — through `TryAnswerAll`'s amortized whole-batch path when
-/// the implementation has one, else the per-query `AnswerOne` loop.
-class BatchPath {
- public:
-  virtual ~BatchPath() = default;
-  /// Ensures the prepared structure exists, reusing a cached one when
-  /// possible; charges Π's cost to `meter` only when Π actually ran.
-  virtual Result<PrepareOutcome> Prepare(CostMeter* meter) = 0;
-  /// Answers the qi-th query of the batch (the NC step).
-  virtual Result<bool> AnswerOne(int qi, CostMeter* meter) = 0;
-  /// Whole-batch fast path: answers every query in one call, filling
-  /// `answers` and setting `mode`, returning true. Returning false (the
-  /// default) means "no batch implementation here" and the driver falls
-  /// back to the AnswerOne loop. Must be all-or-nothing: on error the
-  /// whole batch fails, matching the scalar loop's first-error-wins.
-  virtual Result<bool> TryAnswerAll(std::vector<bool>* answers,
-                                    BatchAnswerMode* mode, CostMeter* meter) {
-    (void)answers;
-    (void)mode;
-    (void)meter;
-    return false;
-  }
-  virtual int num_queries() const = 0;
-};
-
-/// Drives a BatchPath through prepare-once/answer-many with per-batch
-/// CostMeter aggregation.
-Result<BatchResult> RunBatch(BatchPath* path);
-
 /// The prepare-once/answer-many engine: a registry of problems, a sharded
-/// PreparedStore for Σ*-level Π(D) structures, a small cache of typed
-/// cases, and the batch answering API both paths share.
+/// PreparedStore for Σ*-level Π(D) structures, and one answer face. Every
+/// batch answers through a `DataHandle` (Definition 1's prepared data
+/// part): blocking `AnswerBatch(handle, ...)` or warm-only
+/// `TryAnswerWarm`. The string-keyed `AnswerBatch`, `Answer` and
+/// `AnswerInstance` intern the part and call the handle face.
 ///
 /// Concurrency contract: registration is expected at startup, answering
-/// from any number of threads afterwards. `AnswerBatch`, `Answer`,
-/// `AnswerInstance` and `AnswerTypedBatch` are thread-safe; the registry
-/// is guarded by a reader/writer lock, the PreparedStore synchronizes
-/// internally (RCU-style published snapshots make the warm hit path
-/// lock-free; writers use lock-striped shards plus in-flight Π
-/// deduplication), and the typed-case cache is guarded by its own mutex
-/// with instances held through shared_ptr so eviction never invalidates a
-/// running batch. A warm `AnswerBatch(handle, ...)` therefore scales with
-/// cores: it acquires no mutex and writes no shared cache line
-/// (`PreparedStore::Stats::locked_hits` counts the exceptions).
+/// from any number of threads afterwards. Every answer face is
+/// thread-safe; the PreparedStore synchronizes internally (published
+/// snapshots for readers, lock-striped shards plus in-flight Π
+/// deduplication for writers). A warm `AnswerBatch(handle, ...)` runs no
+/// Π and takes no shard mutex (`PreparedStore::Stats::locked_hits` counts
+/// the exceptions), but it is not free of shared writes: `Find` takes a
+/// `shared_lock` on the registry mutex, the snapshot probe acquires the
+/// shard's published table, `CostProfile::RecordAnswer` does two
+/// `fetch_add`s per batch, and under `CostModel::Policy::kAdaptive`
+/// `CostModel::NoteTraffic` takes the model's mutex. Removing those is
+/// ROADMAP open item 3.
 class QueryEngine {
  public:
-  /// `store_capacity` bounds the PreparedStore (entry count) and
-  /// `typed_capacity` the typed-case cache; 0 means unbounded for both.
-  /// The store's shard count is auto-sized from the core count (see
-  /// `PreparedStore::Options::shards`).
-  explicit QueryEngine(size_t store_capacity = 0, size_t typed_capacity = 8);
-  /// Full control over the serving-layer store (shard count, entry cap,
-  /// byte budget).
-  explicit QueryEngine(const PreparedStore::Options& store_options,
-                       size_t typed_capacity = 8);
+  /// `store_options` sizes the PreparedStore (shard count, entry cap, byte
+  /// budget); the defaults are unbounded with shards auto-sized from the
+  /// core count (see `PreparedStore::Options::shards`).
+  explicit QueryEngine(const PreparedStore::Options& store_options = {});
 
   // --- registry ------------------------------------------------------------
 
@@ -296,64 +247,47 @@ class QueryEngine {
   /// Registered names in registration-stable (sorted) order.
   std::vector<std::string> Names() const;
 
-  // --- Σ*-string path ------------------------------------------------------
+  // --- answering ----------------------------------------------------------
 
-  /// Answers a batch of queries against one data part: Π(data) is fetched
-  /// from (or inserted into) the PreparedStore, then every query runs the
-  /// witness's NC answer step. Thread-safe; concurrent batches over the
-  /// same data part run Π once (in-flight deduplication).
-  Result<BatchResult> AnswerBatch(std::string_view problem,
-                                  const std::string& data,
-                                  std::span<const std::string> queries);
-  Result<BatchResult> AnswerBatch(std::string_view problem,
-                                  const std::string& data,
-                                  std::span<const std::string> queries,
-                                  const AnswerOptions& options);
-
-  /// Digest-handle admission: computes the content digest and full store
-  /// key for `data` once. Use with the `AnswerBatch(handle, ...)` overload
-  /// (or a `ServeWorkItem::handle`) to strip the per-batch O(|D|) key
-  /// copy + hash from the warm path.
+  /// Admits a data part: resolves `problem`, runs the witness selection
+  /// (under a live CostModel) and builds the part's store key and
+  /// fingerprint once. Every answer face below goes through the handle.
   Result<DataHandle> Intern(std::string_view problem, std::string data) const;
 
-  /// AnswerBatch against a pre-admitted data part: identical semantics to
-  /// the string-keyed overload, but a warm batch performs no O(|D|) key
-  /// build, hash, or compare (Stats::key_builds stays untouched).
+  /// Answers a batch of queries against one prepared data part: Π(data) is
+  /// fetched from (or inserted into) the PreparedStore under the handle's
+  /// current key, then every query runs the witness's NC answer step.
+  /// Thread-safe; concurrent batches over the same data part run Π once
+  /// (in-flight deduplication). A warm batch performs no O(|D|) key build,
+  /// hash or compare.
   Result<BatchResult> AnswerBatch(const DataHandle& handle,
                                   std::span<const std::string> queries);
-  Result<BatchResult> AnswerBatch(const DataHandle& handle,
-                                  std::span<const std::string> queries,
-                                  const AnswerOptions& options);
+  /// String-keyed adapter: `Intern(problem, data)`, then the handle face.
+  /// Pays Intern's O(|D|) work (a copy, the key build and, under a live
+  /// model, the fingerprint) on every call.
+  Result<BatchResult> AnswerBatch(std::string_view problem,
+                                  const std::string& data,
+                                  std::span<const std::string> queries);
 
-  // --- completion-pipeline faces (see engine/pipeline.h) -------------------
-
-  /// Warm-only AnswerBatch: answers iff Π(data) is already resident in the
-  /// published store snapshot, returning true and filling `result` with
-  /// the same BatchResult the blocking overload would produce (cache_hit
-  /// == true, prepare_runs == 0). Returns false on a cold part — without
-  /// running Π, blocking on an in-flight Π, or touching a shard mutex —
-  /// so a serving worker can park the batch and keep draining warm
-  /// traffic. Errors (unknown problem, a query that fails to parse) are
-  /// real errors, not "cold". A witness upgrade this batch triggers is
-  /// queued, never run here (`result->upgrade_queued`).
+  /// Warm-only AnswerBatch (the completion pipeline's probe): answers iff
+  /// Π(data) is already resident in the published store snapshot,
+  /// returning true and filling `result` with the same BatchResult the
+  /// blocking face would produce (cache_hit == true, prepare_runs == 0).
+  /// Returns false on a cold part — without running Π, blocking on an
+  /// in-flight Π, or touching a shard mutex — so a serving worker can park
+  /// the batch and keep draining warm traffic. Errors (unknown problem, a
+  /// query that fails to parse) are real errors, not "cold". A witness
+  /// upgrade this batch triggers is queued, never run here
+  /// (`result->upgrade_queued`).
   Result<bool> TryAnswerWarm(const DataHandle& handle,
                              std::span<const std::string> queries,
-                             const AnswerOptions& options,
                              BatchResult* result);
-  /// String-keyed flavor: pays the one O(|D|) key build per call (counted
-  /// in Stats::key_builds, like the string-keyed AnswerBatch) and, when
-  /// the part is cold and `cold_key` is non-null, hands the built key back
-  /// so the caller's preparer can run Π without rebuilding it.
-  Result<bool> TryAnswerWarm(std::string_view problem, const std::string& data,
-                             std::span<const std::string> queries,
-                             const AnswerOptions& options, BatchResult* result,
-                             PreparedStore::Key* cold_key);
 
   /// The preparer half of the completion pipeline: ensures Π(data) is
   /// resident under `key`, running Π (with in-flight dedup) on a miss.
   /// `ran_pi` reports whether this call executed Π; `meter` is charged Π's
   /// cost exactly when it did. `data` is shared, not copied — pass the
-  /// handle's payload or an aliasing pointer to caller-owned bytes.
+  /// handle's payload.
   Status Prepare(std::string_view problem,
                  const std::shared_ptr<const std::string>& data,
                  const PreparedStore::Key& key, CostMeter* meter = nullptr,
@@ -368,13 +302,16 @@ class QueryEngine {
   // bytes fits the store's byte budget, an upgrade is due: build Π
   // under the winner, publish it, switch the part's route and sticky
   // choice to it, and retire the old entry (first eviction victim, never
-  // spilled). The warm faces (TryAnswerWarm) queue the upgrade for a
+  // spilled). The warm face (TryAnswerWarm) queues the upgrade for a
   // ServePipeline's preparers, which run it behind any cold jobs; the
-  // blocking AnswerBatch faces, which already run Π inline on a miss, run
-  // the upgrade they trigger inline after answering. One upgrade per part
-  // is pending at a time. An upgrade build counts as a Π run and a store
-  // miss; if it fails (failpoint `engine.witness_upgrade`, or a failed Π)
-  // the old witness keeps serving and a later doubling may try again.
+  // blocking AnswerBatch, which already runs Π inline on a miss, runs the
+  // upgrade it triggers inline after answering. One upgrade per part is
+  // pending at a time. A job whose part moved on before it ran (its route
+  // switched, or another handle's upgrade already set the sticky choice)
+  // is dropped, not counted twice. An upgrade build counts as a Π run and
+  // a store miss; if it fails (failpoint `engine.witness_upgrade`, or a
+  // failed Π) the old witness keeps serving and a later doubling may try
+  // again.
 
   /// Takes the oldest queued upgrade and runs it on this thread. `meter` is
   /// charged Π's cost when the build ran it.
@@ -418,19 +355,11 @@ class QueryEngine {
                                   const DeltaBatch& delta,
                                   CostMeter* meter = nullptr);
 
-  // --- typed path ----------------------------------------------------------
+  // --- typed cases --------------------------------------------------------
 
-  /// Runs the registered typed case for (problem, n, seed) through the same
-  /// prepare-once/answer-many loop. Cases are cached per (problem, n, seed),
-  /// so repeated batches against the same generated data reuse the prepared
-  /// structure (prepare_runs == 0, cache_hit == true). Thread-safe; two
-  /// threads racing on a cold key may each generate an instance, but only
-  /// one lands in the cache.
-  Result<BatchResult> AnswerTypedBatch(std::string_view problem, int64_t n,
-                                       uint64_t seed);
-
-  /// Fresh (unprepared) typed case instance for callers that drive the
-  /// QueryClassCase interface directly (classifier sweeps, baselines).
+  /// Fresh (unprepared) typed case instance: the deployed in-memory form,
+  /// driven directly through the QueryClassCase interface (Generate, one
+  /// Preprocess, then AnswerPrepared per query).
   Result<std::unique_ptr<core::QueryClassCase>> MakeCase(
       std::string_view problem) const;
 
@@ -440,7 +369,8 @@ class QueryEngine {
   /// The witness-selection solver. Policy::kPrimaryOnly (the default)
   /// pins every entry to its registered primary witness — identical
   /// behavior to the pre-adaptive engine. Switch to kAdaptive (or force an
-  /// index) before serving to let registered alternatives compete.
+  /// index) before serving to let registered alternatives compete; a
+  /// handle interned under kPrimaryOnly stays untracked.
   CostModel& cost_model() { return cost_model_; }
   const CostModel& cost_model() const { return cost_model_; }
 
@@ -449,19 +379,8 @@ class QueryEngine {
   static uint64_t PartFingerprint(std::string_view data);
 
  private:
-  /// Typed-case cache key, kept as its three components: lookups compare
-  /// two integers before touching the (short) problem name — no per-batch
-  /// key-string building.
-  struct TypedSlot {
-    std::string problem;
-    int64_t n = 0;
-    uint64_t seed = 0;
-    std::shared_ptr<core::QueryClassCase> instance;
-
-    bool Matches(std::string_view p, int64_t nn, uint64_t s) const {
-      return n == nn && seed == s && problem == p;
-    }
-  };
+  /// The registry entry for `problem`, which must have a Σ*-level witness.
+  Result<const ProblemEntry*> FindLanguage(std::string_view problem) const;
 
   /// The hooks/cost bundle of one selected witness candidate (index 0 =
   /// the entry's primary witness, i ≥ 1 = alternatives[i-1]). Pointers
@@ -501,7 +420,7 @@ class QueryEngine {
   struct UpgradeJob {
     const ProblemEntry* entry = nullptr;
     std::shared_ptr<const std::string> data;
-    /// The handle's route; null for a string-keyed part.
+    /// The route of the handle whose batch queued the job.
     std::shared_ptr<WitnessRoute> route;
     /// The key answers came from: retired once the upgrade lands.
     PreparedStore::Key from_key;
@@ -512,23 +431,17 @@ class QueryEngine {
   UpgradeOutcome RunUpgrade(const UpgradeJob& job, CostMeter* meter);
   /// Ensures Π(data) under `sel` is resident under `key`, running it on a
   /// miss and recording the measured build in the witness's profile.
+  /// `view` (optional) receives the served entry.
   Status PrepareWith(const ProblemEntry& entry, const SelectedWitness& sel,
-                     const std::shared_ptr<const std::string>& data,
-                     const PreparedStore::Key& key, CostMeter* meter,
-                     bool* ran_pi);
+                     const std::string& data, const PreparedStore::Key& key,
+                     CostMeter* meter, bool* ran_pi,
+                     PreparedStore::PreparedView* view = nullptr);
   double BytePressure() const;
 
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, ProblemEntry, std::less<>> entries_;
   PreparedStore store_;
   mutable CostModel cost_model_;
-  const size_t typed_capacity_;
-  std::mutex typed_mutex_;
-  std::list<TypedSlot> typed_cache_;  // front = most recently used
-  /// Bumped on every typed-cache insert (guarded by typed_mutex_): a cold
-  /// path that generated off-lock only re-scans for a racing duplicate
-  /// when the generation moved since its miss.
-  uint64_t typed_generation_ = 0;
 
   /// upgrade_mutex_ guards the queue and the set of parts with an upgrade
   /// pending (queued or running).

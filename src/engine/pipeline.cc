@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -38,7 +39,6 @@ ServePipeline::ServePipeline(QueryEngine* engine,
   opts_.pi_retries = std::max(opts_.pi_retries, 0);
   opts_.pi_retry_backoff_ns = std::max<int64_t>(opts_.pi_retry_backoff_ns, 0);
   opts_.quarantine_ttl_ns = std::max<int64_t>(opts_.quarantine_ttl_ns, 0);
-  answer_options_.sort_probes = opts_.sort_probes;
 
   // vector(n) default-constructs in place — the tallies hold CostMeters,
   // which are neither copyable nor movable.
@@ -78,6 +78,7 @@ Status ServePipeline::Submit(ServeWorkItem item, Completion done, int client,
                              int64_t deadline_ns) {
   const int64_t now = MonotonicNowNanos();
   auto unit = std::make_unique<Unit>();
+  unit->handle = std::move(item.handle);
   unit->owned = std::move(item);
   unit->work = &unit->owned;
   unit->done = std::move(done);
@@ -200,8 +201,17 @@ void ServePipeline::CompleteUnit(UnitPtr unit, const Status& status,
   }
 }
 
+void ServePipeline::FailUnit(UnitPtr unit, const Status& status,
+                             WorkerTally* tally) {
+  if (tally->errors++ == 0) tally->first_error = status;
+  CompleteUnit(std::move(unit), status, 0);
+}
+
 bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
-  const uint64_t digest = unit->key.digest;
+  // The key the probe just missed (or, after a route switch, the one the
+  // part answers from now: either way the key the requeued probe reads).
+  const PreparedStore::Key key = unit->handle->current_key();
+  const uint64_t digest = key.digest;
   PrepareJob job;
   bool enqueue_job = false;
   bool quarantined = false;
@@ -234,11 +244,7 @@ bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
       // (possibly redundant) job, so a publish can never strand a unit —
       // the redundant prepare is an instant store hit and requeues it.
       enqueue_job = list.empty();
-      if (enqueue_job) {
-        job.problem = unit->problem;
-        job.data = unit->data;
-        job.key = unit->key;
-      }
+      if (enqueue_job) job = {unit->handle, key};
       list.push_back(std::move(unit));
       ++parked_;
       queue_depth_max_ = std::max(
@@ -248,10 +254,10 @@ bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
   if (quarantined) {
     // Outside mu_: CompleteUnit takes it for Submit-side bookkeeping.
     ++tally->quarantined;
-    const Status status = Status::Internal(
-        "Π quarantined after terminal failure (" + DigestTag(digest) + ")");
-    if (tally->errors++ == 0) tally->first_error = status;
-    CompleteUnit(std::move(unit), status, 0);
+    FailUnit(std::move(unit),
+             Status::Internal("Π quarantined after terminal failure (" +
+                              DigestTag(digest) + ")"),
+             tally);
     return true;
   }
   if (enqueue_job) {
@@ -265,7 +271,7 @@ bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
 }
 
 bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
-  const ServeWorkItem& item = *unit->work;
+  const std::vector<std::string>& queries = unit->work->queries;
   if (unit->deadline_ns != 0 &&
       DeadlineExpired(unit->deadline_ns, MonotonicNowNanos())) {
     ++tally->deadline_expired;
@@ -274,72 +280,42 @@ bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
                  0);
     return true;
   }
-  BatchResult result;
-  Result<bool> warm = false;
-  if (item.handle != nullptr) {
-    // Through the handle, requeued or not: its route names the key the
-    // part answers from now.
-    warm = engine_->TryAnswerWarm(*item.handle, item.queries, answer_options_,
-                                  &result);
-  } else if (unit->key.bytes != nullptr) {
-    // A string item requeued after a prepare: the key is already built,
-    // probe through it.
-    DataHandle cold{unit->problem, unit->data, unit->key};
-    warm = engine_->TryAnswerWarm(cold, item.queries, answer_options_,
-                                  &result);
-  } else {
-    warm = engine_->TryAnswerWarm(item.problem, item.data, item.queries,
-                                  answer_options_, &result, &unit->key);
-  }
-  if (!warm.ok()) {
-    if (tally->errors++ == 0) tally->first_error = warm.status();
-    CompleteUnit(std::move(unit), warm.status(), 0);
-    return true;
-  }
-  if (*warm) {
-    RecordAnswered(tally, result);
-    const int64_t queries = static_cast<int64_t>(result.answers.size());
-    CompleteUnit(std::move(unit), Status::OK(), queries);
-    return true;
-  }
-  // Cold. Requeue budget spent (the entry keeps getting evicted between
-  // publish and probe): degrade to the blocking path, which terminates
-  // via the store's in-flight rendezvous.
-  if (unit->requeues >= opts_.max_requeues) {
-    auto answered =
-        item.handle != nullptr
-            ? engine_->AnswerBatch(*item.handle, item.queries,
-                                   answer_options_)
-            : (unit->key.bytes != nullptr
-                   ? engine_->AnswerBatch(
-                         DataHandle{unit->problem, unit->data, unit->key},
-                         item.queries, answer_options_)
-                   : engine_->AnswerBatch(item.problem, item.data,
-                                          item.queries, answer_options_));
-    if (!answered.ok()) {
-      if (tally->errors++ == 0) tally->first_error = answered.status();
-      CompleteUnit(std::move(unit), answered.status(), 0);
+  if (unit->handle == nullptr) {
+    // A string-keyed Submit item at its first probe: intern its part once.
+    // The unit owns the bytes, so they move into the handle uncopied.
+    auto interned =
+        engine_->Intern(unit->owned.problem, std::move(unit->owned.data));
+    if (!interned.ok()) {
+      FailUnit(std::move(unit), interned.status(), tally);
       return true;
     }
-    RecordAnswered(tally, *answered);
-    const int64_t queries = static_cast<int64_t>(answered->answers.size());
-    CompleteUnit(std::move(unit), Status::OK(), queries);
+    unit->handle = std::make_shared<const DataHandle>(std::move(*interned));
+  }
+  BatchResult result;
+  auto warm = engine_->TryAnswerWarm(*unit->handle, queries, &result);
+  if (!warm.ok()) {
+    FailUnit(std::move(unit), warm.status(), tally);
     return true;
   }
-  ++unit->requeues;
-  if (item.handle != nullptr) {
-    // A handle item parks under the key its probe just missed.
-    unit->problem = item.handle->problem;
-    unit->data = item.handle->data;
-    unit->key = item.handle->current_key();
-  } else if (unit->data == nullptr) {
-    // First park of a string item: the probe built the key; the data
-    // bytes stay where they are (the item outlives the pipeline run).
-    unit->problem = item.problem;
-    unit->data = std::shared_ptr<const std::string>(
-        std::shared_ptr<const void>(), &item.data);
+  if (!*warm && unit->requeues < opts_.max_requeues) {
+    ++unit->requeues;
+    return ParkUnit(std::move(unit), tally);
   }
-  return ParkUnit(std::move(unit), tally);
+  if (!*warm) {
+    // Requeue budget spent (the entry keeps getting evicted between
+    // publish and probe): degrade to the blocking path, which terminates
+    // via the store's in-flight rendezvous.
+    auto answered = engine_->AnswerBatch(*unit->handle, queries);
+    if (!answered.ok()) {
+      FailUnit(std::move(unit), answered.status(), tally);
+      return true;
+    }
+    result = std::move(answered).value();
+  }
+  RecordAnswered(tally, result);
+  const int64_t answered_queries = static_cast<int64_t>(result.answers.size());
+  CompleteUnit(std::move(unit), Status::OK(), answered_queries);
+  return true;
 }
 
 bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
@@ -350,16 +326,22 @@ bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
     ++tally->deadline_expired;
     return true;
   }
+  // A string-keyed item is interned here, at its first probe; a cold one
+  // parks with that handle.
+  std::optional<DataHandle> interned;
+  if (item.handle == nullptr) {
+    auto handle = engine_->Intern(item.problem, item.data);
+    if (!handle.ok()) {
+      if (tally->errors++ == 0) tally->first_error = handle.status();
+      return true;
+    }
+    interned = std::move(*handle);
+  }
   // Warm fast path: no Unit allocation, no queue, no shared write beyond
-  // the store's own hit accounting — the whole item lives on this stack.
+  // the engine's own hit accounting — the whole item lives on this stack.
   BatchResult result;
-  PreparedStore::Key cold_key;
-  auto warm =
-      item.handle != nullptr
-          ? engine_->TryAnswerWarm(*item.handle, item.queries,
-                                   answer_options_, &result)
-          : engine_->TryAnswerWarm(item.problem, item.data, item.queries,
-                                   answer_options_, &result, &cold_key);
+  auto warm = engine_->TryAnswerWarm(interned ? *interned : *item.handle,
+                                     item.queries, &result);
   if (!warm.ok()) {
     if (tally->errors++ == 0) tally->first_error = warm.status();
     return true;
@@ -372,18 +354,11 @@ bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
   // next claimed item instead of blocking on Π.
   auto unit = std::make_unique<Unit>();
   unit->work = &item;
+  unit->handle = interned ? std::make_shared<const DataHandle>(
+                                std::move(*interned))
+                          : item.handle;
   unit->deadline_ns = deadline;
   unit->requeues = 1;
-  if (item.handle != nullptr) {
-    unit->problem = item.handle->problem;
-    unit->data = item.handle->data;
-    unit->key = item.handle->current_key();
-  } else {
-    unit->problem = item.problem;
-    unit->data = std::shared_ptr<const std::string>(
-        std::shared_ptr<const void>(), &item.data);
-    unit->key = std::move(cold_key);
-  }
   return ParkUnit(std::move(unit), tally);
 }
 
@@ -462,7 +437,7 @@ void ServePipeline::PreparerLoop(size_t preparer_index) {
         upgrades_running_.fetch_add(1);
       }
     }
-    if (job.key.bytes == nullptr) {
+    if (job.handle == nullptr) {
       // Warm witness upgrades run only when no cold job waits: a parked
       // item's Π always goes first.
       const int64_t t0 = MonotonicNowNanos();
@@ -490,8 +465,8 @@ void ServePipeline::PreparerLoop(size_t preparer_index) {
     int attempts = 0;
     for (;;) {
       bool ran_pi = false;
-      prepared = engine_->Prepare(job.problem, job.data, job.key,
-                                  &tally.prepare_meter, &ran_pi);
+      prepared = engine_->Prepare(job.handle->problem, job.handle->data,
+                                  job.key, &tally.prepare_meter, &ran_pi);
       if (ran_pi) ++tally.pi_runs;
       // Preparer-completion failure edge: Π (and the store publish)
       // succeeded but the preparer dies before waking its parked units.

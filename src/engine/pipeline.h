@@ -46,9 +46,6 @@ struct PipelineOptions {
   /// dequeued after their deadline complete with Status::DeadlineExceeded
   /// without burning answer work. 0 = none.
   int64_t default_deadline_ns = 0;
-  /// Probe-address sorting for large warm kernel batches (see
-  /// AnswerOptions::sort_probes).
-  bool sort_probes = false;
   /// Cold re-probes an item gets through the park/prepare/requeue loop
   /// before degrading to the blocking answer path. An entry evicted
   /// between publish and requeue would otherwise ping-pong forever; the
@@ -89,8 +86,11 @@ struct ItemOutcome {
 /// miss.
 ///
 /// A worker probes each work item against the store's published snapshot
-/// (`QueryEngine::TryAnswerWarm`). Warm items are answered on the kernel
-/// path immediately. Cold items are *parked* in a per-key pending queue
+/// (`QueryEngine::TryAnswerWarm`), always through a DataHandle: the item's
+/// own, or for a string-keyed item one interned at its first probe, which
+/// the item's park, requeue, blocking fallback and Π job then share.
+/// Warm items are answered on the kernel path immediately. Cold items are
+/// *parked* in a per-key pending queue
 /// and their Π build is submitted to the dedicated preparer pool; the
 /// worker keeps draining warm traffic. When a preparer publishes the
 /// entry, every item parked under that key re-enters the ready queue and
@@ -158,25 +158,22 @@ class ServePipeline {
   struct Unit {
     const ServeWorkItem* work = nullptr;  // = &owned for Submit items
     ServeWorkItem owned;
+    /// What the item answers through: its own handle, or the one interned
+    /// for a string-keyed item (null until its first probe).
+    std::shared_ptr<const DataHandle> handle;
     Completion done;  // null for bulk-workload items
     int client = 0;
     bool from_submit = false;
     int requeues = 0;
     int64_t submit_ns = 0;
     int64_t deadline_ns = 0;  // absolute; 0 = none
-    /// Cold route, filled at first park: what a preparer needs to run Π
-    /// (for handle items these alias the handle; for string items the key
-    /// comes from the probe and `data` aliases the item's bytes).
-    std::string problem;
-    std::shared_ptr<const std::string> data;
-    PreparedStore::Key key;
   };
   using UnitPtr = std::unique_ptr<Unit>;
 
-  /// One Π build request for the preparer pool.
+  /// One Π build request for the preparer pool: the parked handle and the
+  /// key its probe missed. A null handle asks for a witness upgrade.
   struct PrepareJob {
-    std::string problem;
-    std::shared_ptr<const std::string> data;
+    std::shared_ptr<const DataHandle> handle;
     PreparedStore::Key key;
   };
 
@@ -217,10 +214,12 @@ class ServePipeline {
   bool ProcessIndex(int64_t index, WorkerTally* tally);
   /// Same for a queued Unit (submitted or requeued after a prepare).
   bool ProcessUnit(UnitPtr unit, WorkerTally* tally);
-  /// Parks `unit` under its key and (for the first unit on the key)
-  /// enqueues the Π build. Returns true iff the unit completed instead
-  /// (workload-mode shed when the pending queue is at depth).
+  /// Parks `unit` under its handle's current key and (for the first unit
+  /// on the key) enqueues the Π build. Returns true iff the unit completed
+  /// instead (workload-mode shed when the pending queue is at depth).
   bool ParkUnit(UnitPtr unit, WorkerTally* tally);
+  /// Completes `unit` with an answer or Π error, counted in `tally`.
+  void FailUnit(UnitPtr unit, const Status& status, WorkerTally* tally);
   /// Submit-side bookkeeping + completion callback. Does NOT count toward
   /// completed_ — callers FinishCompleted in spans.
   void CompleteUnit(UnitPtr unit, const Status& status, int64_t queries);
@@ -229,7 +228,6 @@ class ServePipeline {
 
   QueryEngine* const engine_;
   PipelineOptions opts_;  // resolved (threads/preparers/claim_batch > 0)
-  AnswerOptions answer_options_;
 
   // Bulk workload (SubmitWorkload): claimed via the atomic cursor.
   std::span<const ServeWorkItem> workload_;

@@ -22,7 +22,6 @@ ServeReport ServeParallel(QueryEngine* engine,
   pipeline_options.preparers = options.preparers;
   pipeline_options.claim_batch = options.batch;
   pipeline_options.queue_depth = options.queue_depth;
-  pipeline_options.sort_probes = options.sort_probes;
 
   ServeReport report;
   const auto start = std::chrono::steady_clock::now();

@@ -20,8 +20,9 @@ struct ServeWorkItem {
   std::string data;
   std::vector<std::string> queries;
   /// Pre-admitted form (see QueryEngine::Intern): when set, workers answer
-  /// through `AnswerBatch(*handle, queries)` — zero O(|D|) key work per
-  /// batch — and `problem`/`data` above are ignored.
+  /// through it — zero O(|D|) key work per batch — and `problem`/`data`
+  /// above are ignored. Unset: the pipeline interns `problem`/`data` once,
+  /// at the item's first probe.
   std::shared_ptr<const DataHandle> handle;
 };
 
@@ -49,9 +50,6 @@ struct ServeOptions {
   /// dequeued after it complete with Status::DeadlineExceeded instead of
   /// burning answer work (ServeReport::deadline_expired). 0 = none.
   int64_t deadline_ns = 0;
-  /// Probe-address sorting for large warm kernel batches (see
-  /// AnswerOptions::sort_probes).
-  bool sort_probes = false;
 };
 
 /// Aggregate of one ServeParallel run.

@@ -712,8 +712,7 @@ TEST(WitnessUpgradeChaosTest, FailedUpgradeKeepsOldWitnessServing) {
     total.upgrade_failures += report.upgrade_failures;
     for (size_t i = 0; i < workload.size(); ++i) {
       BatchResult batch;
-      auto warm = engine->TryAnswerWarm(*handle, workload[i].queries,
-                                        AnswerOptions{}, &batch);
+      auto warm = engine->TryAnswerWarm(*handle, workload[i].queries, &batch);
       ASSERT_TRUE(warm.ok()) << warm.status().ToString();
       ASSERT_TRUE(*warm);
       ASSERT_EQ(batch.answers, shadow[i]);

@@ -539,8 +539,7 @@ TEST(CostModelEngineTest, WarmUpgradeReachesHandleThroughThePipeline) {
     upgrades += report.upgrades;
     for (size_t i = 0; i < workload.size(); ++i) {
       BatchResult batch;
-      auto warm = adaptive->TryAnswerWarm(*handle, workload[i].queries,
-                                          AnswerOptions{}, &batch);
+      auto warm = adaptive->TryAnswerWarm(*handle, workload[i].queries, &batch);
       ASSERT_TRUE(warm.ok()) << warm.status().ToString();
       ASSERT_TRUE(*warm) << "round " << round << " item " << i;
       ASSERT_EQ(batch.answers, expected[i]) << "round " << round;
@@ -590,6 +589,105 @@ TEST(CostModelEngineTest, WarmUpgradeReachesHandleThroughThePipeline) {
   EXPECT_EQ(adaptive->store().stats().misses, 2);
 }
 
+// The same upgrade through string-keyed pipeline items: each item interns
+// a handle with a private route at its first probe, so the upgrade must
+// still happen once, and a job queued by an item interned before it landed
+// must be dropped, not run and counted again.
+TEST(CostModelEngineTest, WarmUpgradeReachesStringItemsThroughThePipeline) {
+  const std::string data = ReachData(64, 256, 1234);
+  const uint64_t fp = QueryEngine::PartFingerprint(data);
+  auto adaptive = MakeReachEngine(/*adaptive=*/true);
+  auto reference = MakeReachEngine(/*adaptive=*/false);
+
+  Rng rng(2025);
+  std::vector<ServeWorkItem> workload(16);
+  std::vector<std::vector<bool>> expected;
+  for (ServeWorkItem& item : workload) {
+    item.problem = kReach;
+    item.data = data;
+    item.queries = ReachQueries(64, 8, &rng);
+    auto want = reference->AnswerBatch(kReach, data, item.queries);
+    ASSERT_TRUE(want.ok());
+    expected.push_back(want->answers);
+  }
+
+  ServeOptions options;
+  options.threads = 2;
+  options.preparers = 1;
+  options.repeat = 4;
+  int64_t pi_runs = 0;
+  int64_t upgrades = 0;
+  int64_t traffic_at_upgrade = 0;
+  // Each round: one ServeParallel pass over the string items, then every
+  // item through the warm face of the handle a string item interns now,
+  // against the closure-always oracle. Stop four doublings after the
+  // upgrade.
+  for (int round = 0; round < 500; ++round) {
+    const ServeReport report = ServeParallel(adaptive.get(), workload, options);
+    ASSERT_EQ(report.errors, 0) << report.first_error.ToString();
+    ASSERT_EQ(report.upgrade_failures, 0);
+    pi_runs += report.pi_runs;
+    upgrades += report.upgrades;
+    auto probe = adaptive->Intern(kReach, data);
+    ASSERT_TRUE(probe.ok());
+    for (size_t i = 0; i < workload.size(); ++i) {
+      BatchResult batch;
+      auto warm = adaptive->TryAnswerWarm(*probe, workload[i].queries, &batch);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      ASSERT_TRUE(*warm) << "round " << round << " item " << i;
+      ASSERT_EQ(batch.answers, expected[i]) << "round " << round;
+    }
+    const int64_t traffic = adaptive->cost_model().TrafficFor(fp);
+    if (upgrades > 0 && traffic_at_upgrade == 0) traffic_at_upgrade = traffic;
+    if (traffic_at_upgrade > 0 && traffic >= 16 * traffic_at_upgrade) break;
+  }
+  ASSERT_GT(traffic_at_upgrade, 0) << "the part never upgraded";
+  EXPECT_FALSE(adaptive->HasPendingUpgrades());
+
+  // One cold scan build, then exactly one upgrade build; no flip back.
+  EXPECT_EQ(pi_runs, 2);
+  EXPECT_EQ(upgrades, 1);
+  EXPECT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(adaptive->store().stats().misses, 2);
+  EXPECT_EQ(adaptive->store().stats().locked_hits, 0);
+  EXPECT_EQ(adaptive->cost_model().ChoiceFor(fp), 0);
+  // A string item interned now lands on the closure.
+  auto now = adaptive->Intern(kReach, data);
+  ASSERT_TRUE(now.ok());
+  EXPECT_EQ(KeyWitness(now->key), "incremental-closure");
+}
+
+// Two handles interned separately for one part have separate routes. When
+// the second one's traffic queues an upgrade after the first one's already
+// landed, the job is dropped (no second upgrade, no Π) and the lagging
+// route is pointed at the upgraded entry.
+TEST(CostModelEngineTest, StaleUpgradeJobMovesALaggingRoute) {
+  const std::string data = ReachData(64, 256, 1234);
+  auto adaptive = MakeReachEngine(/*adaptive=*/true);
+  auto first = adaptive->Intern(kReach, data);
+  auto second = adaptive->Intern(kReach, data);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(KeyWitness(second->current_key()), "edge-scan");
+
+  Rng rng(7);
+  for (int i = 0; i < 500 && adaptive->upgrades() == 0; ++i) {
+    ASSERT_TRUE(adaptive->AnswerBatch(*first, ReachQueries(64, 8, &rng)).ok());
+  }
+  ASSERT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(KeyWitness(first->current_key()), "incremental-closure");
+  EXPECT_EQ(KeyWitness(second->current_key()), "edge-scan");
+
+  for (int i = 0;
+       i < 500 && KeyWitness(second->current_key()) == "edge-scan"; ++i) {
+    ASSERT_TRUE(
+        adaptive->AnswerBatch(*second, ReachQueries(64, 8, &rng)).ok());
+  }
+  EXPECT_EQ(KeyWitness(second->current_key()), "incremental-closure");
+  EXPECT_EQ(adaptive->upgrades(), 1);
+  EXPECT_EQ(adaptive->store().stats().misses, 2);  // scan Π, closure Π
+}
+
 TEST(CostModelEngineTest, WarmReadersRaceTheRouteSwap) {
   const std::string data = ReachData(64, 256, 1234);
   auto adaptive = MakeReachEngine(/*adaptive=*/true);
@@ -623,8 +721,7 @@ TEST(CostModelEngineTest, WarmReadersRaceTheRouteSwap) {
       for (size_t i = static_cast<size_t>(r); !stop.load(); ++i) {
         const size_t b = i % batches.size();
         BatchResult batch;
-        auto warm = adaptive->TryAnswerWarm(handle, batches[b],
-                                            AnswerOptions{}, &batch);
+        auto warm = adaptive->TryAnswerWarm(handle, batches[b], &batch);
         if (!warm.ok() || !*warm) {
           cold.fetch_add(1);
         } else if (batch.answers != expected[b]) {

@@ -76,9 +76,10 @@ TEST(EngineRegistryTest, EntriesCarryTheExpectedPaths) {
   EXPECT_FALSE((*typed_only)->has_language);
   auto refused = engine->AnswerBatch("range-minimum", "", {});
   EXPECT_FALSE(refused.ok());
-  // Σ*-only: no typed case → typed path refuses.
-  auto refused_typed = engine->AnswerTypedBatch("member-via-bds", 64, 1);
+  // Σ*-only: no typed case → MakeCase refuses.
+  auto refused_typed = engine->MakeCase("member-via-bds");
   EXPECT_FALSE(refused_typed.ok());
+  EXPECT_EQ(refused_typed.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(EngineRegistryTest, UnknownAndDuplicateNamesAreRejected) {
@@ -318,31 +319,6 @@ TEST(EngineReductionTest, MemberToConnChainCachesPerDataPart) {
   EXPECT_EQ(direct->answers, first->answers);
   EXPECT_EQ(engine->store().stats().misses, 2);
   EXPECT_EQ(engine->store().stats().hits, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Typed path through the same interface.
-// ---------------------------------------------------------------------------
-
-TEST(EngineTypedTest, TypedBatchPreparesOncePerGeneratedData) {
-  auto engine = MakeEngine();
-  auto first = engine->AnswerTypedBatch("list-membership", 256, 7);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->prepare_runs, 1);
-  EXPECT_FALSE(first->cache_hit);
-  EXPECT_GT(first->prepare_cost.work, 0);
-  EXPECT_GT(first->answers.size(), 0u);
-
-  auto second = engine->AnswerTypedBatch("list-membership", 256, 7);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->prepare_runs, 0);
-  EXPECT_TRUE(second->cache_hit);
-  EXPECT_EQ(second->answers, first->answers);
-
-  // A different size is different data: Π runs again.
-  auto other = engine->AnswerTypedBatch("list-membership", 512, 7);
-  ASSERT_TRUE(other.ok());
-  EXPECT_EQ(other->prepare_runs, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -618,21 +594,41 @@ TEST(EngineViewTest, ViewAndStringPathsAgreeOnEveryViewEnabledBuiltin) {
   EXPECT_EQ(string_engine->store().stats().view_builds, 0);
 }
 
-TEST(EngineTypedTest, TypedBatchMatchesManualCaseDrive) {
+// The typed face is MakeCase: the caller generates the deployed case once,
+// runs Π once, and answers every query from the prepared structure.
+TEST(EngineTypedTest, MakeCasePreparesOnceAndAnswersMany) {
   auto engine = MakeEngine();
-  auto batch = engine->AnswerTypedBatch("point-selection", 128, 3);
-  ASSERT_TRUE(batch.ok());
+  auto instance = engine->MakeCase("point-selection");
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  ASSERT_TRUE((*instance)->Generate(128, 3).ok());
+  CostMeter prepare_meter;
+  ASSERT_TRUE((*instance)->Preprocess(&prepare_meter).ok());
+  EXPECT_GT(prepare_meter.cost().work, 0);
+  ASSERT_GT((*instance)->num_queries(), 0);
 
-  auto manual = engine->MakeCase("point-selection");
-  ASSERT_TRUE(manual.ok());
-  ASSERT_TRUE((*manual)->Generate(128, 3).ok());
-  ASSERT_TRUE((*manual)->Preprocess(nullptr).ok());
-  ASSERT_EQ((*manual)->num_queries(),
-            static_cast<int>(batch->answers.size()));
-  for (int qi = 0; qi < (*manual)->num_queries(); ++qi) {
-    auto expected = (*manual)->AnswerPrepared(qi, nullptr);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(*expected, batch->answers[static_cast<size_t>(qi)]) << qi;
+  std::vector<bool> first;
+  for (int qi = 0; qi < (*instance)->num_queries(); ++qi) {
+    auto answer = (*instance)->AnswerPrepared(qi, nullptr);
+    ASSERT_TRUE(answer.ok());
+    auto baseline = (*instance)->AnswerBaseline(qi, nullptr);
+    ASSERT_TRUE(baseline.ok());
+    EXPECT_EQ(*answer, *baseline) << qi;
+    first.push_back(*answer);
+  }
+  // A second pass reuses the prepared structure, and a fresh case on the
+  // same (n, seed) generates the same data and answers.
+  auto again = engine->MakeCase("point-selection");
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE((*again)->Generate(128, 3).ok());
+  ASSERT_TRUE((*again)->Preprocess(nullptr).ok());
+  ASSERT_EQ((*again)->num_queries(), (*instance)->num_queries());
+  for (int qi = 0; qi < (*instance)->num_queries(); ++qi) {
+    auto answer = (*instance)->AnswerPrepared(qi, nullptr);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(*answer, first[static_cast<size_t>(qi)]) << qi;
+    auto fresh = (*again)->AnswerPrepared(qi, nullptr);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(*fresh, first[static_cast<size_t>(qi)]) << qi;
   }
 }
 

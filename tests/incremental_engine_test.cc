@@ -816,8 +816,7 @@ TEST(MvccLineageTest, StaleHandleResolvesToFirstResidentSuccessor) {
   // records to the first resident successor (v2) and serves exactly its
   // answers — no Π rebuild, no torn mix of versions.
   BatchResult result;
-  auto served = engine->TryAnswerWarm(*handle0, chain.queries,
-                                      AnswerOptions{}, &result);
+  auto served = engine->TryAnswerWarm(*handle0, chain.queries, &result);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(*served);
   EXPECT_TRUE(result.cache_hit);
@@ -830,8 +829,7 @@ TEST(MvccLineageTest, StaleHandleResolvesToFirstResidentSuccessor) {
   auto handle2 = engine->Intern("list-membership", chain.data[2]);
   ASSERT_TRUE(handle2.ok());
   BatchResult retained;
-  auto warm2 = engine->TryAnswerWarm(*handle2, chain.queries, AnswerOptions{},
-                                     &retained);
+  auto warm2 = engine->TryAnswerWarm(*handle2, chain.queries, &retained);
   ASSERT_TRUE(warm2.ok());
   EXPECT_TRUE(*warm2);
   EXPECT_EQ(retained.answers, chain.expected[2]);
@@ -942,8 +940,7 @@ TEST(MvccLineageTest, SupersededVersionEvictsFirstWithExactAccounting) {
   // the lineage records to the resident successor — warm, no Π re-run.
   const int64_t misses_before = engine->store().stats().misses;
   BatchResult stale;
-  auto served = engine->TryAnswerWarm(*handle0, queries, AnswerOptions{},
-                                      &stale);
+  auto served = engine->TryAnswerWarm(*handle0, queries, &stale);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(*served);
   EXPECT_TRUE(stale.cache_hit);
@@ -999,7 +996,7 @@ TEST(IncrementalConcurrencyTest, ReadersRaceDeltaChainAcrossVersions) {
         BatchResult result;
         auto served =
             engine->TryAnswerWarm(handles[static_cast<size_t>(v)],
-                                  chain.queries, AnswerOptions{}, &result);
+                                  chain.queries, &result);
         if (!served.ok()) {
           ++errors;
           continue;

@@ -1,8 +1,8 @@
 // Coverage for the completion-based serving pipeline (engine/pipeline.h):
 // the no-head-of-line-blocking property pinned with a blocking Π witness,
-// deadline expiry at dequeue, admission / park-time load shedding, the
-// batch-locality sort_probes answer option, and a TSan suite racing
-// submitters against preparers against eviction.
+// deadline expiry at dequeue, admission / park-time load shedding,
+// string-keyed items interned once at their first probe, and a TSan suite
+// racing submitters against preparers against eviction.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "engine/engine.h"
 #include "engine/pipeline.h"
 #include "engine/serve.h"
+#include "graph/generators.h"
 
 namespace pitract {
 namespace engine {
@@ -38,6 +39,25 @@ std::string MemberData(int64_t universe, const std::vector<int64_t>& list) {
   return core::MemberFactorization()
       .pi1(core::MakeMemberInstance(universe, list, 0))
       .value();
+}
+
+std::string ReachData(int64_t n, int64_t m, uint64_t seed) {
+  Rng rng(seed);
+  auto g = graph::ErdosRenyi(static_cast<graph::NodeId>(n), m,
+                             /*directed=*/true, &rng);
+  return core::ReachFactorization()
+      .pi1(core::MakeReachInstance(g, 0, 0))
+      .value();
+}
+
+std::vector<std::string> ReachQueries(int64_t n, int count, Rng* rng) {
+  std::vector<std::string> queries;
+  for (int i = 0; i < count; ++i) {
+    queries.push_back(
+        std::to_string(rng->NextBelow(static_cast<uint64_t>(n))) + "#" +
+        std::to_string(rng->NextBelow(static_cast<uint64_t>(n))));
+  }
+  return queries;
 }
 
 /// A problem whose Π spins until `release` flips: the deterministic witness
@@ -359,11 +379,6 @@ TEST(ServePipelineTest, WorkloadColdItemsShedWhenPendingQueueFull) {
 }
 
 // ---------------------------------------------------------------------------
-// sort_probes: batch-locality scheduling is answer-identical to arrival
-// order — the permutation must round-trip exactly.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Version-race orphan fix: a unit addressing a data part that a Δ-patch
 // re-keyed away (the exact state a parked unit wakes up to) must answer
 // warm through the store's lineage resolution — not re-park, burn its
@@ -440,46 +455,62 @@ TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
   EXPECT_EQ(engine->store().stats().lineage_resolves, 1);
 }
 
-TEST(AnswerOptionsTest, SortProbesMatchesArrivalOrderAnswers) {
+// ---------------------------------------------------------------------------
+// String-keyed items are interned once, at their first probe: the probe,
+// the park, the requeue and the preparer's Π all go through that handle,
+// so a cold string item's answered queries reach the cost model's traffic
+// count like a handle item's.
+// ---------------------------------------------------------------------------
+
+TEST(ServePipelineTest, ColdStringItemsCountTheirTraffic) {
   auto engine = MakeEngine();
-  Rng rng(99);
-  const int64_t universe = 1 << 16;
-  std::vector<int64_t> list;
-  for (int i = 0; i < 4096; ++i) {
-    list.push_back(
-        static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(universe))));
+  engine->cost_model().SetPolicy(CostModel::Policy::kAdaptive);
+  Rng rng(31);
+  const std::string submitted = ReachData(64, 256, 7);
+  const std::string bulk = ReachData(64, 256, 8);
+  ASSERT_NE(submitted, bulk);
+
+  {
+    PipelineOptions options;
+    options.threads = 1;
+    options.preparers = 1;
+    ServePipeline pipeline(engine.get(), options);
+    ServeWorkItem item;
+    item.problem = "graph-reachability";
+    item.data = submitted;
+    item.queries = ReachQueries(64, 8, &rng);
+    ItemOutcome seen;
+    ASSERT_TRUE(pipeline
+                    .Submit(std::move(item),
+                            [&seen](const ItemOutcome& outcome) {
+                              seen = outcome;
+                            })
+                    .ok());
+    pipeline.Drain();
+    ASSERT_TRUE(seen.status.ok()) << seen.status.ToString();
+    EXPECT_EQ(seen.queries, 8);
+    const ServeReport report = pipeline.report();
+    EXPECT_EQ(report.pi_runs, 1);  // the item really was cold
+    EXPECT_EQ(report.batches, 1);
   }
-  const std::string data = MemberData(universe, list);
+  EXPECT_EQ(engine->cost_model().TrafficFor(
+                QueryEngine::PartFingerprint(submitted)),
+            8);
 
-  const size_t n = AnswerOptions::kSortProbesMinBatch + 1000;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    queries.push_back(std::to_string(
-        static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(universe)))));
-  }
-
-  auto arrival = engine->AnswerBatch("list-membership", data, queries);
-  ASSERT_TRUE(arrival.ok()) << arrival.status().ToString();
-
-  AnswerOptions sorted_options;
-  sorted_options.sort_probes = true;
-  auto sorted =
-      engine->AnswerBatch("list-membership", data, queries, sorted_options);
-  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-
-  EXPECT_EQ(sorted->answers, arrival->answers);
-  EXPECT_EQ(sorted->mode, arrival->mode);
-  EXPECT_EQ(sorted->answers.size(), n);
-
-  // Below the threshold the sort must not engage (arrival order is the
-  // contract for small batches) — and answers still agree trivially.
-  std::vector<std::string> small(queries.begin(), queries.begin() + 64);
-  auto small_arrival = engine->AnswerBatch("list-membership", data, small);
-  auto small_sorted =
-      engine->AnswerBatch("list-membership", data, small, sorted_options);
-  ASSERT_TRUE(small_arrival.ok());
-  ASSERT_TRUE(small_sorted.ok());
-  EXPECT_EQ(small_sorted->answers, small_arrival->answers);
+  // The bulk face parks a cold string item the same way.
+  std::vector<ServeWorkItem> workload(1);
+  workload[0].problem = "graph-reachability";
+  workload[0].data = bulk;
+  workload[0].queries = ReachQueries(64, 6, &rng);
+  ServeOptions options;
+  options.threads = 1;
+  options.preparers = 1;
+  const ServeReport report = ServeParallel(engine.get(), workload, options);
+  ASSERT_EQ(report.errors, 0) << report.first_error.ToString();
+  EXPECT_EQ(report.pi_runs, 1);
+  EXPECT_EQ(report.queries, 6);
+  EXPECT_EQ(
+      engine->cost_model().TrafficFor(QueryEngine::PartFingerprint(bulk)), 6);
 }
 
 // ---------------------------------------------------------------------------
