@@ -11,21 +11,15 @@ namespace engine {
 namespace {
 
 /// The store-entry knobs one witness candidate supplies for its Π(D)
-/// payloads: the decoded-view builder when the witness carries one, plus
-/// the tiering layer's expected-loss estimates sized from the candidate's
-/// cost descriptor (view loss ≈ the decode the store would re-pay, evict
-/// loss ≈ the Π rebuild).
+/// payloads: its size estimate, spillability, and the decoded-view builder
+/// when the witness carries one.
 PreparedStore::EntryOptions MakeEntryOptions(
     const core::PiWitness& witness, const PreparedStore::SizeFn* size_of,
-    bool spillable, const CostDescriptor* descriptor, size_t data_bytes) {
+    bool spillable) {
   PreparedStore::EntryOptions options;
   if (size_of != nullptr && *size_of) options.size_of = *size_of;
   options.spillable = spillable;
   if (witness.has_view()) options.make_view = witness.deserialize;
-  if (descriptor != nullptr) {
-    options.evict_loss_ops = descriptor->BuildOps(data_bytes);
-    options.view_loss_ops = descriptor->Bytes(data_bytes);
-  }
   return options;
 }
 
@@ -521,11 +515,9 @@ Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
   const PreparedStore::Key& key = handle.current_key();
   const SelectedWitness sel = ResolveWitnessFromKey(*entry, key);
   PreparedStore::PreparedView view;
-  if (!store_.TryGetView(key,
-                         MakeEntryOptions(*sel.witness, sel.size_of,
-                                          entry->spillable, sel.descriptor,
-                                          handle.data->size()),
-                         nullptr, &view)) {
+  if (!store_.TryGetView(
+          key, MakeEntryOptions(*sel.witness, sel.size_of, entry->spillable),
+          nullptr, &view)) {
     return false;  // cold: the caller parks the batch and prepares off-path
   }
   BatchResult answered;
@@ -574,8 +566,7 @@ Status QueryEngine::PrepareWith(const ProblemEntry& entry,
   int64_t build_ops = -1;
   auto prepared = store_.GetOrComputeView(
       key, MeasuredCompute(*sel.witness, data, &build_ops), meter, &hit,
-      MakeEntryOptions(*sel.witness, sel.size_of, entry.spillable,
-                       sel.descriptor, data.size()));
+      MakeEntryOptions(*sel.witness, sel.size_of, entry.spillable));
   if (!prepared.ok()) return prepared.status();
   RecordMeasuredBuild(sel.profile, data.size(), *prepared, build_ops);
   if (ran_pi != nullptr) *ran_pi = !hit;
@@ -586,7 +577,14 @@ Status QueryEngine::PrepareWith(const ProblemEntry& entry,
 Result<bool> QueryEngine::Answer(std::string_view problem,
                                  const std::string& data,
                                  const std::string& query, CostMeter* meter) {
-  auto batch = AnswerBatch(problem, data, std::span<const std::string>(&query, 1));
+  PITRACT_ASSIGN_OR_RETURN(DataHandle handle, Intern(problem, data));
+  return AnswerOne(handle, query, meter);
+}
+
+Result<bool> QueryEngine::AnswerOne(const DataHandle& handle,
+                                    const std::string& query,
+                                    CostMeter* meter) {
+  auto batch = AnswerBatch(handle, std::span<const std::string>(&query, 1));
   if (!batch.ok()) return batch.status();
   if (meter != nullptr) {
     meter->AddSequential(batch->prepare_cost);
@@ -601,7 +599,10 @@ Result<bool> QueryEngine::AnswerInstance(std::string_view problem,
   PITRACT_ASSIGN_OR_RETURN(const ProblemEntry* entry, FindLanguage(problem));
   PITRACT_ASSIGN_OR_RETURN(std::string data, entry->factorization.pi1(x));
   PITRACT_ASSIGN_OR_RETURN(std::string query, entry->factorization.pi2(x));
-  return Answer(problem, data, query, meter);
+  // π₁'s result is this call's own: the handle takes it without a copy.
+  PITRACT_ASSIGN_OR_RETURN(DataHandle handle,
+                           Intern(problem, std::move(data)));
+  return AnswerOne(handle, query, meter);
 }
 
 Result<DeltaOutcome> QueryEngine::ApplyDelta(std::string_view problem,
@@ -661,8 +662,7 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(std::string_view problem,
   // successful patch re-keys the entry with a freshly decoded post-delta
   // view — a patched entry never serves its pre-patch view.
   PreparedStore::EntryOptions entry_options =
-      MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
-                       sel.descriptor, outcome.new_data.size());
+      MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable);
   const PreparedPatchFn& patch = *sel.patch;
   CostProfile* profile = sel.profile;
   Status patched = store_.UpdateData(

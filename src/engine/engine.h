@@ -216,8 +216,8 @@ struct UpgradeOutcome {
 /// ROADMAP open item 3.
 class QueryEngine {
  public:
-  /// `store_options` sizes the PreparedStore (shard count, entry cap, byte
-  /// budget); the defaults are unbounded with shards auto-sized from the
+  /// `store_options` sizes the PreparedStore (shard count, byte budget);
+  /// the defaults are unbounded with shards auto-sized from the
   /// core count (see `PreparedStore::Options::shards`).
   explicit QueryEngine(const PreparedStore::Options& store_options = {});
 
@@ -436,6 +436,9 @@ class QueryEngine {
                      const std::string& data, const PreparedStore::Key& key,
                      CostMeter* meter, bool* ran_pi,
                      PreparedStore::PreparedView* view = nullptr);
+  /// Answers one query over `handle`, charging prepare+answer to `meter`.
+  Result<bool> AnswerOne(const DataHandle& handle, const std::string& query,
+                         CostMeter* meter);
   double BytePressure() const;
 
   mutable std::shared_mutex registry_mutex_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -137,6 +138,57 @@ Status WriteSpillFile(const std::string& dir, uint64_t digest,
   return Status::OK();
 }
 
+/// One decoded v3 spill frame (see WriteSpillFile for the layout).
+struct SpillFrame {
+  std::string key;
+  std::string prepared;
+  uint64_t size_bytes = 0;
+};
+
+/// How a spill-file read ended. kSkipped: not ours — unreadable, foreign
+/// magic, or an older/newer format version (expected after a format bump,
+/// not a data-integrity signal). kCorrupt: ours by magic+version, but the
+/// checksum disagrees or the frame is torn.
+enum class FrameRead { kOk, kSkipped, kCorrupt };
+
+/// Reads and validates the spill frame at `path` into `*frame`. The one
+/// place the frame is parsed: Load classifies the failures into its
+/// counters, the cold-tier probe degrades any failure to running Π.
+FrameRead ReadSpillFrame(const fs::path& path, SpillFrame* frame) {
+  // Fault-injection edge for spill-read I/O: a fired site behaves like a
+  // file the filesystem refused to open.
+  std::ifstream in(path, std::ios::binary);
+  if (!in || PITRACT_FAILPOINT("spill.read")) return FrameRead::kSkipped;
+  const std::string framed = ReadAll(in);
+  serde::Reader reader(framed);
+  auto magic = reader.ReadU32();
+  auto version = magic.ok() ? reader.ReadU32() : magic;
+  if (!version.ok() || *magic != kSpillMagic || *version != kSpillVersion) {
+    return FrameRead::kSkipped;
+  }
+  // Ours by magic+version: from here every rejection is *corruption*
+  // (torn frame or bit rot).
+  auto checksum = reader.ReadU64();
+  if (!checksum.ok() ||
+      *checksum != serde::Checksum64(
+                       std::string_view(framed).substr(reader.consumed()))) {
+    return FrameRead::kCorrupt;
+  }
+  auto key = reader.ReadBytes();
+  auto prepared = key.ok() ? reader.ReadBytes() : key;
+  auto size_bytes = reader.ReadU64();
+  if (!key.ok() || !prepared.ok() || !size_bytes.ok() ||
+      !reader.exhausted()) {
+    // Structurally torn behind a valid checksum — only reachable when the
+    // checksum itself was forged, but the degradation contract is the same.
+    return FrameRead::kCorrupt;
+  }
+  frame->key = std::move(key).value();
+  frame->prepared = std::move(prepared).value();
+  frame->size_bytes = *size_bytes;
+  return FrameRead::kOk;
+}
+
 /// Second, independent 64-bit hash of the key bytes (different offset
 /// basis and fold), guarding the first lineage-resolution hop: a stale
 /// probe mis-resolves only if the foreign key collides in *both* hashes.
@@ -240,11 +292,10 @@ void PreparedStore::SnapshotCell::Publish(Table table) {
   TableRef::Release(Box(old));
 }
 
+PreparedStore::PreparedStore() : PreparedStore(Options{}) {}
+
 PreparedStore::PreparedStore(const Options& options)
-    : options_(Options{ResolveShards(options.shards), options.max_entries,
-                       options.byte_budget,
-                       std::max<size_t>(options.versions, 1),
-                       options.tiered}),
+    : options_(Options{ResolveShards(options.shards), options.byte_budget}),
       shards_(options_.shards) {
   // Snapshots start as published empty tables, so the lock-free hit path
   // never has to special-case a null pointer.
@@ -292,34 +343,6 @@ PreparedStore::Key PreparedStore::InternKey(std::string_view problem,
       std::make_shared<const std::string>(MakeKey(problem, witness, data));
   key.digest = Fnv1a64(*key.bytes);
   return key;
-}
-
-Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit) {
-  return GetOrCompute(problem, witness, data, compute, meter, hit,
-                      EntryOptions{});
-}
-
-Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit,
-    const EntryOptions& entry_options) {
-  auto view = GetOrComputeView(problem, witness, data, compute, meter, hit,
-                               entry_options);
-  if (!view.ok()) return view.status();
-  return std::move(view)->prepared;
-}
-
-Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit,
-    const EntryOptions& entry_options) {
-  // The string-keyed admission path pays the O(|D|) copy + hash here, once
-  // per call — exactly what Intern-ed keys amortize away.
-  LocalStats().key_builds.fetch_add(1, std::memory_order_relaxed);
-  return GetOrComputeView(InternKey(problem, witness, data), compute, meter,
-                          hit, entry_options);
 }
 
 std::shared_ptr<const void> PreparedStore::BuildView(
@@ -578,16 +601,14 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   // file beats re-running Π. Any validation failure degrades silently to
   // the compute below.
   bool promoted = false;
-  if (options_.tiered) {
-    std::string cold_payload;
-    if (TryLoadColdPayload(key, &cold_payload)) {
-      if (meter != nullptr) {
-        meter->AddBytesRead(static_cast<int64_t>(cold_payload.size()));
-      }
-      prepared = std::move(cold_payload);
-      promoted = true;
-      LocalStats().cold_promotions.fetch_add(1, std::memory_order_relaxed);
+  std::string cold_payload;
+  if (TryLoadColdPayload(key, &cold_payload)) {
+    if (meter != nullptr) {
+      meter->AddBytesRead(static_cast<int64_t>(cold_payload.size()));
     }
+    prepared = std::move(cold_payload);
+    promoted = true;
+    LocalStats().cold_promotions.fetch_add(1, std::memory_order_relaxed);
   }
   // Fault-injection edge for the Π build itself (the miss-storm winner
   // path every Prepare and blocking AnswerBatch funnels into): a fired
@@ -630,8 +651,6 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   // shares exactly one build.
   AttachView(entry_options, entry.get(), meter);
   entry->spillable = entry_options.spillable;
-  entry->view_loss_ops = entry_options.view_loss_ops;
-  entry->evict_loss_ops = entry_options.evict_loss_ops;
   entry->size_bytes = entry_options.size_of
                           ? entry_options.size_of(*entry->prepared)
                           : DefaultSizeBytes(*entry);
@@ -644,22 +663,12 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     auto it = table.find(digest);
     if (it != table.end()) {
       // Digest collision (or a concurrent Load): replace, stay correct.
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              it->second->size_bytes +
-              it->second->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
-      count_.fetch_sub(1, std::memory_order_relaxed);
+      Uncharge(*it->second);
       it->second = entry;
     } else {
       table.emplace(digest, entry);
     }
-    bytes_.fetch_add(
-        static_cast<int64_t>(
-            entry->size_bytes +
-            entry->view_size_bytes.load(std::memory_order_relaxed)),
-        std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    Charge(*entry);
     PublishTable(&shard, std::move(table));
     shard.inflight.erase(*key.bytes);
   }
@@ -667,15 +676,6 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   flight->done.set_value();
   EvictUntilWithinBudget();
   return result;
-}
-
-Status PreparedStore::UpdateData(std::string_view problem,
-                                 std::string_view witness,
-                                 std::string_view old_data,
-                                 std::string_view new_data,
-                                 const PatchFn& patch, CostMeter* meter) {
-  return UpdateData(problem, witness, old_data, new_data, patch, meter,
-                    EntryOptions{});
 }
 
 Status PreparedStore::UpdateData(std::string_view problem,
@@ -780,8 +780,6 @@ Status PreparedStore::UpdateData(std::string_view problem,
   // build leaves a null view and the entry serves the string path.
   AttachView(entry_options, fresh.get(), meter);
   fresh->spillable = entry_options.spillable;
-  fresh->view_loss_ops = entry_options.view_loss_ops;
-  fresh->evict_loss_ops = entry_options.evict_loss_ops;
   fresh->size_bytes = entry_options.size_of
                           ? entry_options.size_of(*fresh->prepared)
                           : DefaultSizeBytes(*fresh);
@@ -820,34 +818,17 @@ Status PreparedStore::UpdateData(std::string_view problem,
     fresh->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                            std::memory_order_relaxed);
     fresh->digest = new_digest;
-    fresh->version = old_entry->version + 1;
     fresh->predecessor_digest = old_digest;
     fresh->has_predecessor = true;
 
     // Publish the patched version k+1 under the post-delta digest
     // (replacing a digest collision or a concurrently loaded duplicate).
-    // With versions >= 2 the pre-delta entry is *retained* — marked
-    // superseded so answer paths skip it, but still digest-addressable so
-    // a reader pinned on version k keeps getting version-k answers instead
-    // of a spurious Π rebuild; UpdateData trims the chain below.
-    auto retire = [this](const EntryPtr& entry) {
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
-      count_.fetch_sub(1, std::memory_order_relaxed);
-    };
-    auto admit = [this](const EntryPtr& entry) {
-      bytes_.fetch_add(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-    };
+    // A re-keyed pre-delta entry is *retained* — marked superseded so
+    // answer paths skip it, but still digest-addressable so a reader
+    // pinned on version k keeps getting version-k answers instead of a
+    // spurious Π rebuild; UpdateData trims the chain below. A delta that
+    // leaves the digest unchanged replaces the entry in place.
     const bool rekeyed = old_digest != new_digest;
-    const bool retain_old = rekeyed && options_.versions >= 2;
     if (rekeyed) {
       // Successor forwarding first, supersede marker second (release): a
       // reader that observes `superseded` is guaranteed to see where the
@@ -855,36 +836,16 @@ Status PreparedStore::UpdateData(std::string_view problem,
       old_entry->successor_digest.store(new_digest, std::memory_order_relaxed);
       old_entry->superseded.store(true, std::memory_order_release);
     }
-    if (!retain_old) retire(old_entry);
-    if (old_index == new_index) {
-      Table table = *old_table;
-      if (!retain_old) table.erase(old_digest);
-      auto dest = table.find(new_digest);
-      if (dest != table.end()) {
-        retire(dest->second);
-        dest->second = fresh;
-      } else {
-        table.emplace(new_digest, fresh);
-      }
-      admit(fresh);
-      PublishTable(&old_shard, std::move(table));
+    Table table = CopyTable(new_shard);
+    auto dest = table.find(new_digest);
+    if (dest != table.end()) {
+      Uncharge(*dest->second);  // the in-place entry, or a collision
+      dest->second = fresh;
     } else {
-      if (!retain_old) {
-        Table old_copy = *old_table;
-        old_copy.erase(old_digest);
-        PublishTable(&old_shard, std::move(old_copy));
-      }
-      Table new_copy = CopyTable(new_shard);
-      auto dest = new_copy.find(new_digest);
-      if (dest != new_copy.end()) {
-        retire(dest->second);
-        dest->second = fresh;
-      } else {
-        new_copy.emplace(new_digest, fresh);
-      }
-      admit(fresh);
-      PublishTable(&new_shard, std::move(new_copy));
+      table.emplace(new_digest, fresh);
     }
+    Charge(*fresh);
+    PublishTable(&new_shard, std::move(table));
     LocalStats().patches.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -904,10 +865,11 @@ Status PreparedStore::UpdateData(std::string_view problem,
         LineageRecord{new_digest, AltKeyDigest(*old_key.bytes), lineage_seq_++};
   }
 
-  if (options_.versions >= 2 && old_digest != new_digest) {
+  static_assert(kVersions >= 2, "a re-key retains the pre-delta version");
+  if (old_digest != new_digest) {
     // Trim the version window: walk the predecessor back-links from the
     // just-superseded entry (depth 1; the fresh head is depth 0) and drop
-    // every resident version at depth >= versions. Steady state removes
+    // every resident version at depth >= kVersions. Steady state removes
     // exactly one entry per delta; the hop cap bounds a corrupted walk.
     EntryPtr cur = old_entry;
     size_t depth = 1;
@@ -927,18 +889,13 @@ Status PreparedStore::UpdateData(std::string_view problem,
               cur->digest) {
         break;  // chain end: already trimmed, evicted, or a digest reuse
       }
-      if (depth + 1 >= options_.versions) {
+      if (depth + 1 >= kVersions) {
         std::lock_guard<std::mutex> lock(shard.mutex);
         Table table = CopyTable(shard);
         auto found = table.find(pred_digest);
         if (found != table.end() && found->second == pred) {
           table.erase(found);
-          bytes_.fetch_sub(
-              static_cast<int64_t>(
-                  pred->size_bytes +
-                  pred->view_size_bytes.load(std::memory_order_relaxed)),
-              std::memory_order_relaxed);
-          count_.fetch_sub(1, std::memory_order_relaxed);
+          Uncharge(*pred);
           LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
           PublishTable(&shard, std::move(table));
         }
@@ -1023,27 +980,10 @@ void PreparedStore::Retire(const Key& key) {
   EvictUntilWithinBudget();
 }
 
-bool PreparedStore::OverBudget() const {
-  const auto count = count_.load(std::memory_order_relaxed);
-  const auto bytes = bytes_.load(std::memory_order_relaxed);
-  if (options_.max_entries != 0 &&
-      count > static_cast<int64_t>(options_.max_entries)) {
-    return true;
-  }
-  return options_.byte_budget != 0 &&
-         bytes > static_cast<int64_t>(options_.byte_budget);
-}
-
-double PreparedStore::DecayedLoss(int64_t hits, uint64_t stamp, uint64_t now,
-                                  double loss_ops, int64_t bytes_freed) {
-  if (hits <= 0 || loss_ops <= 0) return 0.0;
-  // Halve the hit count once per epoch since the last touch: an entry
-  // hammered long ago risks far less re-pay cost than one hammered now.
-  const uint64_t age = now > stamp ? now - stamp : 0;
-  const int64_t decayed = age >= 62 ? 0 : hits >> age;
-  if (decayed <= 0) return 0.0;
-  return static_cast<double>(decayed) * loss_ops /
-         static_cast<double>(std::max<int64_t>(bytes_freed, 1));
+int64_t PreparedStore::BytesOver() const {
+  if (options_.byte_budget == 0) return 0;
+  return bytes_.load(std::memory_order_relaxed) -
+         static_cast<int64_t>(options_.byte_budget);
 }
 
 int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
@@ -1068,14 +1008,9 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
   // re-promotes hot through the existing lazy rebuild path.
   warm->last_used.store(entry->last_used.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
-  warm->hit_count.store(entry->hit_count.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
   warm->size_bytes = entry->size_bytes;
   warm->spillable = entry->spillable;
-  warm->view_loss_ops = entry->view_loss_ops;
-  warm->evict_loss_ops = entry->evict_loss_ops;
   warm->digest = entry->digest;
-  warm->version = entry->version;
   warm->predecessor_digest = entry->predecessor_digest;
   warm->has_predecessor = entry->has_predecessor;
   warm->successor_digest.store(
@@ -1092,27 +1027,24 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
 }
 
 void PreparedStore::EvictUntilWithinBudget() {
-  // One evictor at a time: two publishers both observing OverBudget()
+  // One evictor at a time: two publishers both observing the deficit
   // would otherwise each take a victim and over-evict below budget. The
   // eviction lock is never taken while holding a shard lock, so ordering
   // is acyclic (spill_dir_mutex_ nests inside evict_mutex_; no path takes
   // evict_mutex_ while holding it).
   std::lock_guard<std::mutex> evict_lock(evict_mutex_);
-  if (!OverBudget()) return;
+  if (BytesOver() <= 0) return;
   // New recency epoch: entries touched after this pass stamp a value that
   // outranks every pre-pass stamp, so the next pass sees them as recent.
   tick_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t now = tick_.load(std::memory_order_relaxed);
-  while (OverBudget()) {
+  for (int64_t bytes_over = BytesOver(); bytes_over > 0;
+       bytes_over = BytesOver()) {
     // Victim selection: one lock-free scan of the published snapshots
-    // collects every candidate with its recency stamp, CLOCK bit, hit
-    // count and byte charges; one sort then yields the whole demotion/
-    // eviction *batch* for this pass (enough to clear the deficit), so a
-    // store pushed far over budget (e.g. an over-budget Load) pays one
-    // scan and at most one table copy per shard — not one per victim.
-    // The stamp is an epoch, so entries touched in the same epoch tie
-    // arbitrarily; an entry untouched since an older epoch goes first,
-    // refined (among equals) by cheapest expected loss.
+    // collects every candidate with its recency stamp, CLOCK bit and byte
+    // charges; one sort then yields the whole demotion or eviction *batch*
+    // for this pass (enough to clear the deficit), so a store pushed far
+    // over budget (e.g. an over-budget Load) pays one scan and at most one
+    // table copy per shard — not one per victim.
     struct Candidate {
       uint64_t stamp;
       bool second_chance;  // CLOCK bit was set at scan time (now cleared)
@@ -1122,8 +1054,6 @@ void PreparedStore::EvictUntilWithinBudget() {
       EntryPtr entry;
       int64_t charge;      // bytes eviction frees (payload + view)
       int64_t view_bytes;  // bytes a hot→warm demotion frees
-      double evict_loss;   // decayed expected cost of going cold
-      double view_loss;    // decayed expected cost of dropping the view
     };
     std::vector<Candidate> candidates;
     for (size_t si = 0; si < shards_.size(); ++si) {
@@ -1135,99 +1065,57 @@ void PreparedStore::EvictUntilWithinBudget() {
         // clear the deficit — the byte-budget invariant always wins).
         const bool spare =
             entry->referenced.exchange(false, std::memory_order_relaxed);
-        const uint64_t stamp =
-            entry->last_used.load(std::memory_order_relaxed);
-        const int64_t hits =
-            entry->hit_count.load(std::memory_order_relaxed);
         const int64_t view_bytes = static_cast<int64_t>(
             entry->view_size_bytes.load(std::memory_order_relaxed));
-        const int64_t charge =
-            static_cast<int64_t>(entry->size_bytes) + view_bytes;
         candidates.push_back(
-            {stamp, spare,
+            {entry->last_used.load(std::memory_order_relaxed), spare,
              entry->superseded.load(std::memory_order_relaxed), si, digest,
-             entry, charge, view_bytes,
-             DecayedLoss(hits, stamp, now, entry->evict_loss_ops, charge),
-             DecayedLoss(hits, stamp, now, entry->view_loss_ops,
-                         view_bytes)});
+             entry, static_cast<int64_t>(entry->size_bytes) + view_bytes,
+             view_bytes});
       }
     }
     if (candidates.empty()) return;  // store drained concurrently
-    int64_t bytes_over =
-        options_.byte_budget == 0
-            ? 0
-            : bytes_.load(std::memory_order_relaxed) -
-                  static_cast<int64_t>(options_.byte_budget);
-    int64_t entries_over =
-        options_.max_entries == 0
-            ? 0
-            : count_.load(std::memory_order_relaxed) -
-                  static_cast<int64_t>(options_.max_entries);
+    // The one victim order, shared by demotion and eviction: unreferenced
+    // entries first, then superseded versions (they exist only for pinned
+    // readers), then the oldest recency stamp. The stamp is an epoch, so
+    // entries touched in the same epoch tie arbitrarily.
+    auto victim_before = [&candidates](size_t ia, size_t ib) {
+      const Candidate& a = candidates[ia];
+      const Candidate& b = candidates[ib];
+      if (a.second_chance != b.second_chance) return !a.second_chance;
+      if (a.superseded != b.superseded) return a.superseded;
+      return a.stamp < b.stamp;
+    };
 
-    // Phase A (tiered, byte pressure only): demote hot→warm before
-    // evicting anything. Dropping a decoded view keeps the payload
-    // answering via the string path — strictly cheaper to undo (one lazy
-    // rebuild) than an eviction (a Π re-run), so views are always the
-    // first bytes to go. Victim order: cold views first (no CLOCK bit),
-    // then superseded entries (old versions, retired witnesses), then
-    // cheapest expected loss, then oldest.
-    if (options_.tiered && bytes_over > 0 && entries_over <= 0) {
-      std::vector<size_t> holders;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].view_bytes > 0) holders.push_back(i);
-      }
-      if (!holders.empty()) {
-        std::sort(holders.begin(), holders.end(),
-                  [&candidates](size_t ia, size_t ib) {
-                    const Candidate& a = candidates[ia];
-                    const Candidate& b = candidates[ib];
-                    if (a.second_chance != b.second_chance) {
-                      return !a.second_chance;
-                    }
-                    if (a.superseded != b.superseded) return a.superseded;
-                    if (a.view_loss != b.view_loss) {
-                      return a.view_loss < b.view_loss;
-                    }
-                    return a.stamp < b.stamp;
-                  });
-        int64_t freed = 0;
-        for (size_t idx : holders) {
-          if (freed >= bytes_over) break;
-          freed += DemoteView(candidates[idx].digest, candidates[idx].entry);
-        }
-        if (freed > 0) continue;  // re-check the budget, rescan if needed
-      }
-      // No view bytes left to shed: fall through to eviction.
+    // Phase A: demote hot→warm before evicting anything. Dropping a
+    // decoded view keeps the payload answering via the string path —
+    // strictly cheaper to undo (one lazy rebuild) than an eviction (a Π
+    // re-run), so views are always the first bytes to go. Only the view
+    // holders are sorted here: most passes end in this phase, and a pass
+    // often runs on a reader's thread, after a lazy view rebuild.
+    std::vector<size_t> holders;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].view_bytes > 0) holders.push_back(i);
     }
+    std::sort(holders.begin(), holders.end(), victim_before);
+    int64_t demoted = 0;
+    for (size_t idx : holders) {
+      if (demoted >= bytes_over) break;
+      demoted += DemoteView(candidates[idx].digest, candidates[idx].entry);
+    }
+    if (demoted > 0) continue;  // re-check the budget, rescan if needed
 
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.second_chance != b.second_chance) {
-                  return !a.second_chance;  // unreferenced entries go first
-                }
-                if (a.superseded != b.superseded) {
-                  // Retained old versions exist only for pinned readers:
-                  // under pressure they go before any current version.
-                  return a.superseded;
-                }
-                if (a.evict_loss != b.evict_loss) {
-                  // Cheapest expected loss first: among equally (un)recent
-                  // entries, evict the one whose re-build we are least
-                  // likely to pay for. Never-hit entries all score 0, so
-                  // pure recency order is preserved exactly for them.
-                  return a.evict_loss < b.evict_loss;
-                }
-                return a.stamp < b.stamp;
-              });
-    // Take the oldest prefix that clears both deficits (recomputed from
-    // the live counters, which concurrent publishers may have moved).
+    // Phase B: no view bytes left to shed. Take the prefix of the victim
+    // order that clears the deficit (recomputed from the live counter,
+    // which concurrent publishers may have moved).
+    std::vector<size_t> order(candidates.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), victim_before);
     size_t take = 0;
-    while (take < candidates.size() && (bytes_over > 0 || entries_over > 0)) {
-      bytes_over -= candidates[take].charge;
-      --entries_over;
+    while (take < order.size() && bytes_over > 0) {
+      bytes_over -= candidates[order[take]].charge;
       ++take;
     }
-    if (take == 0) return;
     // Evict the batch grouped by shard: one copy-on-write + publish per
     // touched shard. A candidate whose slot moved on since the scan
     // (replaced, re-keyed, already evicted) is skipped; the outer loop
@@ -1245,7 +1133,7 @@ void PreparedStore::EvictUntilWithinBudget() {
       std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
       Table table;
       for (size_t ci = 0; ci < take; ++ci) {
-        const Candidate& victim = candidates[ci];
+        const Candidate& victim = candidates[order[ci]];
         if (victim.shard != si) continue;
         if (!touched) {
           lock.lock();
@@ -1255,18 +1143,12 @@ void PreparedStore::EvictUntilWithinBudget() {
         auto it = table.find(victim.digest);
         if (it == table.end() || it->second != victim.entry) continue;
         table.erase(it);
-        // Re-read the charge under the lock: a lazy view rebuild since
-        // the scan may have grown it (the scan-time value was only the
-        // prefix-size estimate).
-        bytes_.fetch_sub(
-            static_cast<int64_t>(victim.entry->size_bytes +
-                                 victim.entry->view_size_bytes.load(
-                                     std::memory_order_relaxed)),
-            std::memory_order_relaxed);
-        count_.fetch_sub(1, std::memory_order_relaxed);
+        // Uncharge re-reads the charge under the lock: a lazy view rebuild
+        // since the scan may have grown it (the scan-time value was only
+        // the prefix-size estimate).
+        Uncharge(*victim.entry);
         LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
-        if (options_.tiered && victim.entry->spillable &&
-            !victim.superseded) {
+        if (victim.entry->spillable && !victim.superseded) {
           // Warm→cold: remember the payload so it can be written out as a
           // spill frame after the shard locks drop. Until the write lands
           // the entry simply recomputes on miss — the old frame from an
@@ -1314,34 +1196,16 @@ bool PreparedStore::TryLoadColdPayload(const Key& key,
   // or replace the file mid-read, but tmp+rename publication means we see
   // either a complete old frame or a complete new one — and every
   // validation failure just degrades to running Π.
-  std::ifstream in(fs::path(dir) / DigestFileName(key.digest),
-                   std::ios::binary);
-  if (!in || PITRACT_FAILPOINT("spill.read")) return false;
-  const std::string framed = ReadAll(in);
-  serde::Reader reader(framed);
-  auto magic = reader.ReadU32();
-  auto version = magic.ok() ? reader.ReadU32() : magic;
-  if (!version.ok() || *magic != kSpillMagic || *version != kSpillVersion) {
-    return false;
-  }
-  auto checksum = reader.ReadU64();
-  if (!checksum.ok() ||
-      *checksum != serde::Checksum64(
-                       std::string_view(framed).substr(reader.consumed()))) {
-    return false;
-  }
-  auto stored_key = reader.ReadBytes();
-  auto prepared = stored_key.ok() ? reader.ReadBytes() : stored_key;
-  auto size_bytes = reader.ReadU64();
-  if (!stored_key.ok() || !prepared.ok() || !size_bytes.ok() ||
-      !reader.exhausted()) {
+  SpillFrame frame;
+  if (ReadSpillFrame(fs::path(dir) / DigestFileName(key.digest), &frame) !=
+      FrameRead::kOk) {
     return false;
   }
   // The full-key guard: a digest collision (file named like our digest
   // but holding a foreign key) degrades to a plain Π run, never to a
   // wrong structure.
-  if (*stored_key != *key.bytes) return false;
-  *payload = std::move(prepared).value();
+  if (frame.key != *key.bytes) return false;
+  *payload = std::move(frame.prepared);
   return true;
 }
 
@@ -1443,51 +1307,24 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
         dirent.path().extension() != kSpillExtension) {
       continue;
     }
-    // Fault-injection edge for spill-read I/O: a fired site behaves like
-    // a file the filesystem refused to open.
-    std::ifstream in(dirent.path(), std::ios::binary);
-    if (!in || PITRACT_FAILPOINT("spill.read")) {
-      LocalStats().load_skipped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const std::string framed = ReadAll(in);
-    serde::Reader reader(framed);
-    auto magic = reader.ReadU32();
-    auto version = magic.ok() ? reader.ReadU32() : magic;
-    if (!version.ok() || *magic != kSpillMagic || *version != kSpillVersion) {
-      // Not ours: a foreign file, or an older/newer frame format. Not a
-      // data-integrity signal — expected after a version bump.
-      LocalStats().load_skipped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Ours by magic+version: from here every rejection is *corruption*
-    // (torn frame or bit rot) and degrades to recompute-on-miss.
-    auto checksum = reader.ReadU64();
-    if (!checksum.ok() ||
-        *checksum != serde::Checksum64(
-                         std::string_view(framed).substr(reader.consumed()))) {
-      LocalStats().load_corrupt.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    auto key = reader.ReadBytes();
-    auto prepared = key.ok() ? reader.ReadBytes() : key;
-    auto size_bytes = reader.ReadU64();
-    if (!key.ok() || !prepared.ok() || !size_bytes.ok() ||
-        !reader.exhausted()) {
-      // Structurally torn behind a valid checksum header — only reachable
-      // when the checksum itself was forged or a decode failpoint fired,
-      // but the degradation contract is identical.
-      LocalStats().load_corrupt.fetch_add(1, std::memory_order_relaxed);
+    SpillFrame frame;
+    const FrameRead read = ReadSpillFrame(dirent.path(), &frame);
+    if (read != FrameRead::kOk) {
+      // Either way the file degrades to recompute-on-miss: Load never
+      // admits bytes the checksum cannot vouch for.
+      (read == FrameRead::kSkipped ? LocalStats().load_skipped
+                                   : LocalStats().load_corrupt)
+          .fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
     EntryPtr entry = std::make_shared<Entry>();
-    entry->key = std::make_shared<const std::string>(std::move(key).value());
+    entry->key = std::make_shared<const std::string>(std::move(frame.key));
     entry->prepared =
-        std::make_shared<const std::string>(std::move(prepared).value());
+        std::make_shared<const std::string>(std::move(frame.prepared));
     // Spill files carry only the payload: the decoded view is rebuilt
     // lazily on this entry's first warm hit.
-    entry->size_bytes = static_cast<size_t>(*size_bytes);
+    entry->size_bytes = static_cast<size_t>(frame.size_bytes);
     entry->spillable = true;
     const uint64_t digest = Fnv1a64(*entry->key);
     entry->digest = digest;
@@ -1508,20 +1345,12 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
         // over it could splice a stale payload into a live version chain.
       } else {
         if (existing != table.end()) {
-          bytes_.fetch_sub(
-              static_cast<int64_t>(existing->second->size_bytes +
-                                   existing->second->view_size_bytes.load(
-                                       std::memory_order_relaxed)),
-              std::memory_order_relaxed);
-          count_.fetch_sub(1, std::memory_order_relaxed);
+          Uncharge(*existing->second);
           existing->second = entry;
         } else {
           table.emplace(digest, entry);
         }
-        // Freshly loaded entries carry no view yet (view_size_bytes == 0).
-        bytes_.fetch_add(static_cast<int64_t>(entry->size_bytes),
-                         std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
+        Charge(*entry);  // no view yet: view_size_bytes == 0
         PublishTable(&shard, std::move(table));
         admitted = true;
       }
@@ -1618,14 +1447,7 @@ void PreparedStore::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     TableRef table = shard.snapshot.Acquire();
-    for (const auto& [digest, entry] : *table) {
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
-      count_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    for (const auto& [digest, entry] : *table) Uncharge(*entry);
     PublishTable(&shard, Table{});
   }
   std::lock_guard<std::mutex> lock(lineage_mutex_);

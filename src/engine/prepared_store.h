@@ -57,22 +57,38 @@ uint64_t Fnv1a64(std::string_view bytes);
 ///    storm.
 ///  * **Byte-budgeted approximate-LRU eviction.** Every entry carries a
 ///    size estimate (caller-supplied `SizeFn` hook, defaulting to
-///    payload+key bytes); once resident bytes exceed `Options::byte_budget`
-///    (or entries exceed `Options::max_entries`), victims are evicted until
-///    the store is back under budget. Recency is tracked by a relaxed
-///    per-entry atomic epoch stamp, not a shared list: hits in the same
-///    epoch (the span between two writer events) tie arbitrarily, but an
-///    entry untouched since an older epoch is always evicted before one
-///    touched since. Exact-LRU order is *not* guaranteed; the byte-budget
-///    invariant is.
+///    payload+key bytes); once resident bytes exceed `Options::byte_budget`,
+///    victims are shed until the store is back under budget. Recency is
+///    tracked by a relaxed per-entry atomic epoch stamp, not a shared list:
+///    hits in the same epoch (the span between two writer events) tie
+///    arbitrarily, but an entry untouched since an older epoch is always
+///    shed before one touched since. Exact-LRU order is *not* guaranteed;
+///    the byte-budget invariant is.
+///  * **Tiered residency.** Budget pressure moves entries down a three-tier
+///    ladder instead of straight to eviction:
+///      hot  — payload + decoded view resident (the fast answer path);
+///      warm — payload only: the view is *demoted* (dropped) first, the
+///             entry keeps serving via the string path and re-promotes to
+///             hot through the lazy view rebuild on its next hit;
+///      cold — evicted from memory, but (when a spill directory is active)
+///             the payload is written as a v3 spill frame on the way out,
+///             so the next miss *promotes* it back by reading one file
+///             instead of re-running Π.
+///    Demotion and eviction share one victim order: entries without a
+///    CLOCK bit (no hit since the previous sweep) first, then superseded
+///    versions, then the oldest recency stamp. Demotion publishes a
+///    view-less *clone* of the entry through the normal snapshot swap, so
+///    the warm hit path never takes a lock.
 ///  * **MVCC version lineage.** UpdateData publishes the post-delta Π(D)
 ///    under its new digest *without* dropping the pre-delta entry: the last
-///    `Options::versions` versions of a lineage stay resident (superseded
-///    but digest-addressable), so a reader holding a pre-delta Key keeps
+///    `kVersions` versions of a lineage stay resident (superseded but
+///    digest-addressable), so a reader holding a pre-delta Key keeps
 ///    answering its pinned snapshot while deltas stream in. Once a version
 ///    is trimmed out of the window, the old→successor digest chain lets
 ///    TryGetView transparently resolve a stale probe to the first resident
-///    successor instead of going cold.
+///    successor instead of going cold (Stats::lineage_resolves).
+///    Superseded versions count bytes individually, evict normally, and are
+///    skipped by Spill.
 ///  * **Persistence.** Spill serializes every spillable entry to one
 ///    serde-framed file per entry under a spill directory; Load rehydrates
 ///    a (possibly restarted) store from such a directory. Entries inserted
@@ -88,42 +104,15 @@ class PreparedStore {
     /// 2 x std::thread::hardware_concurrency(), so a fully loaded machine
     /// rarely maps two hot data parts onto one stripe. Clamped to >= 1.
     size_t shards = 0;
-    /// 0 = unbounded; otherwise approximate-LRU entries are evicted past
-    /// the cap.
-    size_t max_entries = 0;
-    /// 0 = unbounded; otherwise approximate-LRU entries are evicted once
-    /// the summed size estimates exceed this many bytes.
+    /// 0 = unbounded; otherwise entries are demoted and evicted once the
+    /// summed size estimates exceed this many bytes.
     size_t byte_budget = 0;
-    /// MVCC window: how many versions of one data lineage stay resident
-    /// after UpdateData re-keys (the current version plus versions-1
-    /// superseded predecessors). Readers holding a pre-delta Key keep
-    /// answering their pinned Π(D) while it is in the window; past it, a
-    /// TryGetView probe resolves through the lineage chain to the first
-    /// resident successor instead of going cold (Stats::lineage_resolves).
-    /// Superseded versions count bytes individually, evict normally, and
-    /// are skipped by Spill. Clamped to >= 1; 1 = pre-MVCC behavior (the
-    /// old version is dropped at publish, lineage records still resolve).
-    size_t versions = 2;
-    /// Tiered residency. When set, budget pressure moves entries down a
-    /// three-tier ladder instead of straight to eviction:
-    ///   hot  — payload + decoded view resident (the fast answer path);
-    ///   warm — payload only: the view is *demoted* (dropped) first, the
-    ///          entry keeps serving via the string path and re-promotes to
-    ///          hot through the existing lazy view rebuild on its next hit;
-    ///   cold — evicted from memory, but (when a spill directory is
-    ///          active) the payload is written as a v3 spill frame on the
-    ///          way out, so the next miss *promotes* it back by reading
-    ///          one file instead of re-running Π.
-    /// Victim order is cheapest-expected-loss first, not just oldest: the
-    /// decayed hit count weights each entry's caller-supplied rebuild
-    /// cost (EntryOptions::view_loss_ops / evict_loss_ops) per byte
-    /// freed. Entries that were never hit score zero, so the CLOCK +
-    /// recency-stamp order is preserved exactly for them. The warm hit
-    /// path is untouched: demotion publishes a view-less *clone* of the
-    /// entry through the normal snapshot-swap protocol, never a lock on
-    /// the read side.
-    bool tiered = true;
   };
+
+  /// MVCC window: how many versions of one data lineage stay resident after
+  /// UpdateData re-keys — the current version plus one superseded
+  /// predecessor.
+  static constexpr size_t kVersions = 2;
 
   struct Stats {
     int64_t hits = 0;
@@ -140,10 +129,10 @@ class PreparedStore {
     /// in-flight Π still on the old key after the retry, or a failed patch
     /// fn) and left the new data part to recompute-on-miss.
     int64_t patch_fallbacks = 0;
-    /// O(|D|) full-key materializations (copy + hash of the data part) on
-    /// the admission paths. The string-keyed GetOrCompute/UpdateData
-    /// overloads pay one per call; the precomputed-Key overloads pay zero
-    /// — the counter a warm digest-handle batch must leave untouched.
+    /// O(|D|) full-key materializations (copy + hash of the data part):
+    /// one per BuildKeyCounted or string-keyed Contains, two per
+    /// UpdateData. Admission through a precomputed Key pays zero — the
+    /// counter a warm digest-handle batch must leave untouched.
     int64_t key_builds = 0;
     /// Decoded Π-views built (once per entry under the in-flight-dedup
     /// discipline; again after a Load or a Δ-patch re-key).
@@ -197,9 +186,7 @@ class PreparedStore {
     std::string ToJson() const;
   };
 
-  /// Legacy convenience: an entry-capped store with auto sharding.
-  explicit PreparedStore(size_t max_entries = 0)
-      : PreparedStore(Options{/*shards=*/0, max_entries, /*byte_budget=*/0}) {}
+  PreparedStore();
   explicit PreparedStore(const Options& options);
 
   using ComputeFn = std::function<Result<std::string>(CostMeter*)>;
@@ -224,14 +211,6 @@ class PreparedStore {
     SizeFn size_of;            // unset: payload + key + kEntryOverheadBytes
     bool spillable = true;     // false: Spill skips, recompute after restart
     ViewFn make_view;          // unset: no decoded view is memoized
-    /// Expected cost (abstract CostMeter ops) of rebuilding the decoded
-    /// view if it is demoted — what a hot→warm move risks. The tiered
-    /// sweep weighs hit-decayed loss per byte freed; 0 (the default)
-    /// means "no opinion", which preserves pure CLOCK+recency order.
-    double view_loss_ops = 0;
-    /// Expected cost of re-running Π if the entry is evicted — what a
-    /// warm→cold move risks. Same scoring and same 0 default.
-    double evict_loss_ops = 0;
   };
 
   /// A content-addressed store key, materialized once and reusable across
@@ -247,8 +226,7 @@ class PreparedStore {
   static Key InternKey(std::string_view problem, std::string_view witness,
                        std::string_view data);
   /// InternKey plus the Stats::key_builds charge — for callers (e.g. the
-  /// engine's Intern) that materialize a key outside
-  /// the string-keyed GetOrComputeView but must stay visible to the
+  /// engine's Intern) whose key builds must stay visible to the
   /// admission-cost counters.
   Key BuildKeyCounted(std::string_view problem, std::string_view witness,
                       std::string_view data) const;
@@ -264,35 +242,18 @@ class PreparedStore {
     size_t charged_bytes = 0;
   };
 
-  /// Returns the cached Π(D) for (problem, witness, data), or runs
-  /// `compute` on a miss and stores the result. `meter` is charged the full
-  /// preprocessing cost on a miss and a single probe op on a hit or an
-  /// in-flight wait; `hit` (optional) reports whether Π ran in this call.
-  Result<std::shared_ptr<const std::string>> GetOrCompute(
-      std::string_view problem, std::string_view witness,
-      std::string_view data, const ComputeFn& compute,
-      CostMeter* meter = nullptr, bool* hit = nullptr);
-  Result<std::shared_ptr<const std::string>> GetOrCompute(
-      std::string_view problem, std::string_view witness,
-      std::string_view data, const ComputeFn& compute, CostMeter* meter,
-      bool* hit, const EntryOptions& entry_options);
-
-  /// GetOrCompute plus the decoded Π-view layer. The view is built at most
-  /// once per entry under the in-flight-dedup discipline (the miss winner
-  /// builds it before publishing, so a whole miss storm shares one build),
-  /// rebuilt lazily on the first hit after a Load (spill files carry only
-  /// the payload), rebuilt from the patched payload on an UpdateData
-  /// re-key, and dropped with the entry on eviction. String-keyed flavor
-  /// pays the O(|D|) key build (counted in Stats::key_builds)...
-  Result<PreparedView> GetOrComputeView(std::string_view problem,
-                                        std::string_view witness,
-                                        std::string_view data,
-                                        const ComputeFn& compute,
-                                        CostMeter* meter, bool* hit,
-                                        const EntryOptions& entry_options);
-  /// ...while the precomputed-Key flavor pays none: warm batches through a
-  /// Key are O(1) in |D| end to end, and a warm hit is *lock-free* — one
-  /// snapshot load, one table probe, one relaxed recency stamp.
+  /// Returns the cached Π(D) for `key`, or runs `compute` on a miss and
+  /// stores the result. `meter` is charged the full preprocessing cost on
+  /// a miss and a single probe op on a hit or an in-flight wait; `hit`
+  /// (optional) reports whether Π ran in this call. The decoded view is
+  /// built at most once per entry under the in-flight-dedup discipline
+  /// (the miss winner builds it before publishing, so a whole miss storm
+  /// shares one build), rebuilt lazily on the first hit after a Load or a
+  /// demotion (spill files carry only the payload), rebuilt from the
+  /// patched payload on an UpdateData re-key, and dropped with the entry
+  /// on eviction. A Key is materialized once, so warm calls are O(1) in
+  /// |D| end to end, and a warm hit is *lock-free* — one snapshot load, one
+  /// table probe, one relaxed recency stamp.
   Result<PreparedView> GetOrComputeView(const Key& key,
                                         const ComputeFn& compute,
                                         CostMeter* meter, bool* hit,
@@ -336,7 +297,7 @@ class PreparedStore {
   /// shared_ptr — and must leave it equal to Π(new_data). On success the
   /// post-delta entry is published under the new digest within the owning
   /// shards' stripes, the pre-delta version is retained as a superseded
-  /// predecessor (until it falls out of the `Options::versions` window —
+  /// predecessor (until it falls out of the `kVersions` window —
   /// see the MVCC bullet above), recency/byte accounting is fixed through
   /// `entry_options.size_of`, and (when a spill directory is active) the
   /// entry is respilled.
@@ -350,9 +311,6 @@ class PreparedStore {
   /// on the shared_future). In every non-OK case the store is untouched
   /// and the caller degrades to recompute-on-miss.
   using PatchFn = std::function<Status(std::string* prepared, CostMeter*)>;
-  Status UpdateData(std::string_view problem, std::string_view witness,
-                    std::string_view old_data, std::string_view new_data,
-                    const PatchFn& patch, CostMeter* meter = nullptr);
   Status UpdateData(std::string_view problem, std::string_view witness,
                     std::string_view old_data, std::string_view new_data,
                     const PatchFn& patch, CostMeter* meter,
@@ -385,7 +343,6 @@ class PreparedStore {
   size_t bytes_resident() const;
   /// The resolved options (shards = 0 has been replaced by the auto pick).
   const Options& options() const { return options_; }
-  size_t max_entries() const { return options_.max_entries; }
 
   /// Drops every entry; counters are kept (use ResetStats to zero them).
   void Clear();
@@ -427,10 +384,6 @@ class PreparedStore {
     /// tie with genuinely cold ones. Never set on insert: an entry must
     /// earn its second chance with a hit.
     std::atomic<bool> referenced{false};
-    /// Lifetime hit count (relaxed, entry-local line — no shared
-    /// contention). The tiered sweep decays it by epoch age to estimate
-    /// how much re-answer cost a demotion would actually forfeit.
-    std::atomic<int64_t> hit_count{0};
     size_t size_bytes = 0;
     /// Byte estimate charged for `view` against the eviction budget
     /// (≈ payload bytes when a view is resident — a typed decode of the
@@ -442,18 +395,12 @@ class PreparedStore {
     /// skip the O(|Π(D)|) rebuild attempt instead of failing it per hit.
     std::atomic<bool> view_build_failed{false};
     bool spillable = true;
-    /// Demotion-loss hints copied from EntryOptions at admission (plain:
-    /// set before publication, immutable after).
-    double view_loss_ops = 0;
-    double evict_loss_ops = 0;
     // --- MVCC lineage ------------------------------------------------------
     /// The digest this entry is resident under. Lets hit-path repairs
     /// (RebuildViewLazily) find the entry's own shard even when it was
     /// served through a lineage resolution of a different probe digest.
     uint64_t digest = 0;
-    /// Version ordinal within its lineage (0 for a fresh Π, +1 per
-    /// UpdateData re-key) and the back-link the resolver verifies.
-    uint64_t version = 0;
+    /// The back-link the resolver and the version-window trim verify.
     uint64_t predecessor_digest = 0;
     bool has_predecessor = false;
     /// Set (with successor_digest) under the re-key critical section when
@@ -621,10 +568,6 @@ class PreparedStore {
     if (!entry.referenced.load(std::memory_order_relaxed)) {
       entry.referenced.store(true, std::memory_order_relaxed);
     }
-    // Entry-local popularity for the tiered sweep's loss estimate. The
-    // line is already dirtied by the stamps above on epoch change; between
-    // epochs this is the only write, still confined to this entry's line.
-    entry.hit_count.fetch_add(1, std::memory_order_relaxed);
   }
   /// Copies the shard's current table for a copy-on-write mutation.
   /// Requires shard.mutex held.
@@ -640,6 +583,19 @@ class PreparedStore {
   static size_t ChargedBytes(const Entry& entry) {
     return entry.size_bytes +
            entry.view_size_bytes.load(std::memory_order_relaxed);
+  }
+  /// Adds `entry` to (or removes it from) the resident byte and entry
+  /// counts — every whole-entry admission, replacement, trim, eviction
+  /// and Clear goes through this pair.
+  void Charge(const Entry& entry) {
+    bytes_.fetch_add(static_cast<int64_t>(ChargedBytes(entry)),
+                     std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Uncharge(const Entry& entry) {
+    bytes_.fetch_sub(static_cast<int64_t>(ChargedBytes(entry)),
+                     std::memory_order_relaxed);
+    count_.fetch_sub(1, std::memory_order_relaxed);
   }
   /// Runs `make_view` (if any) over `prepared`, translating failures and
   /// unwinds into a null view (string-path fallback, never an error).
@@ -670,16 +626,16 @@ class PreparedStore {
   /// must also collide the alternate hash to mis-resolve); each resident
   /// candidate is verified through its predecessor back-link.
   EntryPtr ResolveLineage(const Key& key) const;
-  /// Evicts approximately-LRU entries until both budgets hold: scans the
-  /// published snapshots for the globally oldest recency stamp (no locks),
-  /// then removes the victim under its shard's mutex. With
-  /// Options::tiered, byte pressure first demotes hot entries to warm
-  /// (view drop via DemoteViews) and eviction writes spillable victims
-  /// out as cold spill frames (warm→cold) before removing them.
+  /// Sheds entries until the byte budget holds: scans the published
+  /// snapshots (no locks) and sorts them into the victim order once, then
+  /// first demotes hot entries to warm (view drop via DemoteView) and only
+  /// when no view bytes are left evicts, writing spillable victims out as
+  /// cold spill frames (warm→cold) before removing them.
   void EvictUntilWithinBudget();
-  bool OverBudget() const;
+  /// Resident bytes past Options::byte_budget (<= 0: within budget).
+  int64_t BytesOver() const;
   /// Hot→warm: publishes a view-less clone of `entry` (same key, payload,
-  /// MVCC metadata, recency and hit state) iff it is still the resident
+  /// MVCC metadata and recency stamp) iff it is still the resident
   /// entry for `digest`. Returns the bytes freed (0 = lost the race).
   /// Readers holding the old entry keep its view alive; the clone
   /// re-promotes through the lazy view rebuild on its next hit.
@@ -690,12 +646,6 @@ class PreparedStore {
   /// no directory, no file, corrupt frame, key mismatch — degrades to
   /// running Π (returns false, counts nothing).
   bool TryLoadColdPayload(const Key& key, std::string* payload) const;
-  /// The tiered sweep's expected-loss estimate: `loss_ops` (the cost the
-  /// demotion risks re-paying) weighted by the entry's hit count decayed
-  /// by epoch age, per byte freed. Never-hit entries score 0, preserving
-  /// the CLOCK + recency order exactly for them.
-  static double DecayedLoss(int64_t hits, uint64_t stamp, uint64_t now,
-                            double loss_ops, int64_t bytes_freed);
   /// Best-effort spill-directory maintenance after a successful patch:
   /// rewrites the patched entry's file under its new digest and drops the
   /// old digest's file, so Load never resurrects the pre-delta Π(D).

@@ -170,14 +170,31 @@ TEST(PreparedStoreTest, DistinctDataPartsPreprocessSeparately) {
   EXPECT_EQ(engine->store().size(), 3u);
 }
 
+/// Admits (problem, witness, data) through the store's Key face.
+Result<PreparedStore::PreparedView> Admit(
+    PreparedStore& store, std::string_view problem, std::string_view witness,
+    std::string_view data, const PreparedStore::ComputeFn& compute,
+    CostMeter* meter = nullptr, bool* hit = nullptr,
+    const PreparedStore::EntryOptions& entry_options = {}) {
+  return store.GetOrComputeView(store.BuildKeyCounted(problem, witness, data),
+                                compute, meter, hit, entry_options);
+}
+
 TEST(PreparedStoreTest, LruEvictionPastCapacity) {
-  PreparedStore store(/*max_entries=*/2);
+  // Every entry is charged 100 bytes: the budget holds two of them.
+  PreparedStore::Options options;
+  options.byte_budget = 200;
+  PreparedStore store(options);
+  PreparedStore::EntryOptions entry_options;
+  entry_options.size_of = [](const std::string&) -> size_t { return 100; };
   auto compute = [](CostMeter* meter) -> Result<std::string> {
     if (meter != nullptr) meter->AddSerial(10);
     return std::string("prepared");
   };
   for (const char* data : {"a", "b", "c"}) {
-    ASSERT_TRUE(store.GetOrCompute("p", "w", data, compute).ok());
+    ASSERT_TRUE(
+        Admit(store, "p", "w", data, compute, nullptr, nullptr, entry_options)
+            .ok());
   }
   EXPECT_EQ(store.size(), 2u);
   auto stats = store.stats();
@@ -187,7 +204,8 @@ TEST(PreparedStoreTest, LruEvictionPastCapacity) {
   EXPECT_TRUE(store.Contains("p", "w", "c"));
   // Re-requesting the evicted entry recomputes.
   bool hit = true;
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "a", compute, nullptr, &hit).ok());
+  ASSERT_TRUE(
+      Admit(store, "p", "w", "a", compute, nullptr, &hit, entry_options).ok());
   EXPECT_FALSE(hit);
 }
 
@@ -198,10 +216,10 @@ TEST(PreparedStoreTest, KeysSeparateProblemWitnessAndData) {
     ++computes;
     return std::string("x");
   };
-  ASSERT_TRUE(store.GetOrCompute("p1", "w", "d", compute).ok());
-  ASSERT_TRUE(store.GetOrCompute("p2", "w", "d", compute).ok());
-  ASSERT_TRUE(store.GetOrCompute("p1", "w2", "d", compute).ok());
-  ASSERT_TRUE(store.GetOrCompute("p1", "w", "d", compute).ok());  // hit
+  ASSERT_TRUE(Admit(store, "p1", "w", "d", compute).ok());
+  ASSERT_TRUE(Admit(store, "p2", "w", "d", compute).ok());
+  ASSERT_TRUE(Admit(store, "p1", "w2", "d", compute).ok());
+  ASSERT_TRUE(Admit(store, "p1", "w", "d", compute).ok());  // hit
   EXPECT_EQ(computes, 3);
   EXPECT_EQ(store.stats().hits, 1);
 }

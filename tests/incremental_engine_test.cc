@@ -794,7 +794,6 @@ TEST(MvccLineageTest, StaleHandleResolvesToFirstResidentSuccessor) {
 
   PreparedStore::Options options;
   options.shards = 4;
-  options.versions = 2;
   auto engine = MakeEngine(options);
 
   auto handle0 = engine->Intern("list-membership", chain.data[0]);
@@ -867,7 +866,6 @@ TEST(MvccLineageTest, SupersededVersionEvictsFirstWithExactAccounting) {
   auto make_engine = [](size_t byte_budget) {
     PreparedStore::Options options;
     options.shards = 1;
-    options.versions = 2;
     options.byte_budget = byte_budget;
     auto engine = std::make_unique<QueryEngine>(options);
     BuiltinOptions builtin_options;
@@ -964,7 +962,6 @@ TEST(IncrementalConcurrencyTest, ReadersRaceDeltaChainAcrossVersions) {
 
   PreparedStore::Options options;
   options.shards = 8;
-  options.versions = 2;
   auto engine = MakeEngine(options);
 
   std::vector<DataHandle> handles;

@@ -386,9 +386,7 @@ TEST(ServePipelineTest, WorkloadColdItemsShedWhenPendingQueueFull) {
 // ---------------------------------------------------------------------------
 
 TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
-  PreparedStore::Options store_options;
-  store_options.versions = 1;  // worst case: the old version is erased
-  auto engine = MakeEngine(store_options);
+  auto engine = MakeEngine();
   std::atomic<int> computes{0};
   ProblemEntry entry;
   entry.name = "echo-delta";
@@ -416,15 +414,19 @@ TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
   };
   ASSERT_TRUE(engine->Register(std::move(entry)).ok());
 
-  // Warm "base", then re-key it away: digest("base") now resolves only
-  // through the lineage record to the patched "base+d" entry.
+  // Warm "base", then re-key it away twice: the version window trims
+  // "base", so digest("base") now resolves only through the lineage
+  // record to its first resident successor, the patched "base+d" entry.
   ASSERT_TRUE(engine
                   ->AnswerBatch("echo-delta", "base",
                                 std::vector<std::string>{"pi:base"})
                   .ok());
-  auto outcome = engine->ApplyDelta("echo-delta", "base", DeltaBatch{});
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome->patched);
+  for (const char* from : {"base", "base+d"}) {
+    auto outcome = engine->ApplyDelta("echo-delta", from, DeltaBatch{});
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_TRUE(outcome->patched);
+  }
+  ASSERT_EQ(engine->store().size(), PreparedStore::kVersions);
   ASSERT_EQ(computes.load(), 1);
 
   PipelineOptions options;

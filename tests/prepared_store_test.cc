@@ -39,6 +39,29 @@ std::string UniqueTempDir(const char* tag) {
   return dir.string();
 }
 
+/// String-keyed admission through the Key face: one BuildKeyCounted (one
+/// Stats::key_builds charge, what any string-keyed caller pays), then
+/// GetOrComputeView. Admit returns just the payload.
+Result<PreparedStore::PreparedView> AdmitView(
+    PreparedStore& store, std::string_view problem, std::string_view witness,
+    std::string_view data, const PreparedStore::ComputeFn& compute,
+    CostMeter* meter = nullptr, bool* hit = nullptr,
+    const PreparedStore::EntryOptions& entry_options = {}) {
+  return store.GetOrComputeView(store.BuildKeyCounted(problem, witness, data),
+                                compute, meter, hit, entry_options);
+}
+
+Result<std::shared_ptr<const std::string>> Admit(
+    PreparedStore& store, std::string_view problem, std::string_view witness,
+    std::string_view data, const PreparedStore::ComputeFn& compute,
+    CostMeter* meter = nullptr, bool* hit = nullptr,
+    const PreparedStore::EntryOptions& entry_options = {}) {
+  auto view = AdmitView(store, problem, witness, data, compute, meter, hit,
+                        entry_options);
+  if (!view.ok()) return view.status();
+  return std::move(view)->prepared;
+}
+
 std::vector<int64_t> RandomList(Rng* rng, int64_t universe, int count) {
   std::vector<int64_t> list;
   for (int i = 0; i < count; ++i) {
@@ -77,7 +100,7 @@ TEST(PreparedStoreConcurrencyTest, MissStormRunsComputeExactlyOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       ++started;
-      auto result = store.GetOrCompute("p", "w", "same-data", compute, &meter);
+      auto result = Admit(store, "p", "w", "same-data", compute, &meter);
       ASSERT_TRUE(result.ok());
       results[static_cast<size_t>(t)] = *result;
     });
@@ -108,12 +131,12 @@ TEST(PreparedStoreConcurrencyTest, FailedComputeIsSharedAndRetriable) {
     ++computes;
     return Status::Internal("Π exploded");
   };
-  auto result = store.GetOrCompute("p", "w", "d", failing);
+  auto result = Admit(store, "p", "w", "d", failing);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_FALSE(store.Contains("p", "w", "d"));
   // The failure is not cached: the next call recomputes (and may succeed).
-  auto ok = store.GetOrCompute(
+  auto ok = Admit(store,
       "p", "w", "d", [](CostMeter*) -> Result<std::string> {
         return std::string("fine");
       });
@@ -126,12 +149,12 @@ TEST(PreparedStoreConcurrencyTest, ThrowingComputeDoesNotLeakInflightSlot) {
   auto throwing = [](CostMeter*) -> Result<std::string> {
     throw std::runtime_error("bad_alloc stand-in");
   };
-  auto result = store.GetOrCompute("p", "w", "d", throwing);
+  auto result = Admit(store, "p", "w", "d", throwing);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   // The unwind released the in-flight slot: the key is retriable, not
   // deadlocked behind a promise nobody will fulfill.
-  auto retry = store.GetOrCompute(
+  auto retry = Admit(store,
       "p", "w", "d",
       [](CostMeter*) -> Result<std::string> { return std::string("fine"); });
   ASSERT_TRUE(retry.ok());
@@ -147,7 +170,7 @@ TEST(PreparedStoreConcurrencyTest, DistinctKeysProceedInParallelShards) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, &computes, t] {
-      auto result = store.GetOrCompute(
+      auto result = Admit(store,
           "p", "w", "data-" + std::to_string(t),
           [&computes](CostMeter*) -> Result<std::string> {
             ++computes;
@@ -170,11 +193,10 @@ TEST(PreparedStoreUpdateTest, PatchReKeysEntryAndFixesAccounting) {
   PreparedStore::Options options;
   options.shards = 4;
   PreparedStore store(options);
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "old-data",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("payload-v1");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "old-data",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("payload-v1");
+                           })
                   .ok());
   const size_t bytes_before = store.bytes_resident();
 
@@ -186,7 +208,7 @@ TEST(PreparedStoreUpdateTest, PatchReKeysEntryAndFixesAccounting) {
         if (m != nullptr) m->AddSerial(3);
         return Status::OK();
       },
-      &meter);
+      &meter, {});
   ASSERT_TRUE(status.ok()) << status.ToString();
 
   // Re-keyed: the old data part no longer counts as current (it is
@@ -197,7 +219,7 @@ TEST(PreparedStoreUpdateTest, PatchReKeysEntryAndFixesAccounting) {
   EXPECT_TRUE(store.Contains("p", "w", "new-data!"));
   EXPECT_EQ(store.size(), 2u);
   bool hit = false;
-  auto patched = store.GetOrCompute(
+  auto patched = Admit(store,
       "p", "w", "new-data!",
       [](CostMeter*) -> Result<std::string> {
         return Status::Internal("Π must not run on a patched entry");
@@ -217,13 +239,11 @@ TEST(PreparedStoreUpdateTest, PatchReKeysEntryAndFixesAccounting) {
 TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
   PreparedStore::Options options;
   options.shards = 4;
-  options.versions = 2;
   PreparedStore store(options);
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d0",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("v0");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d0",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("v0");
+                           })
                   .ok());
   auto bump = [&](const std::string& from, const std::string& to,
                   const std::string& suffix) {
@@ -231,7 +251,7 @@ TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
                             [&suffix](std::string* prepared, CostMeter*) {
                               *prepared += suffix;
                               return Status::OK();
-                            });
+                            }, nullptr, {});
   };
 
   ASSERT_TRUE(bump("d0", "d1", "+1").ok());
@@ -270,29 +290,30 @@ TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
   EXPECT_FALSE(store.Contains("p", "w", "d9"));
 }
 
-TEST(PreparedStoreUpdateTest, SingleVersionStoreStillForwardsStaleReaders) {
+TEST(PreparedStoreUpdateTest, TrimmedVersionStillForwardsStaleReaders) {
   PreparedStore::Options options;
   options.shards = 4;
-  options.versions = 1;  // PR-6 behavior: the old entry is erased outright
   PreparedStore store(options);
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d0",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("v0");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d0",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("v0");
+                           })
                   .ok());
-  ASSERT_TRUE(store
-                  .UpdateData("p", "w", "d0", "d1",
-                              [](std::string* prepared, CostMeter*) {
-                                *prepared += "+1";
-                                return Status::OK();
-                              })
-                  .ok());
-  EXPECT_EQ(store.size(), 1u);
+  auto bump = [&](const std::string& from, const std::string& to,
+                  const std::string& suffix) {
+    return store.UpdateData("p", "w", from, to,
+                            [&suffix](std::string* prepared, CostMeter*) {
+                              *prepared += suffix;
+                              return Status::OK();
+                            }, nullptr, {});
+  };
+  ASSERT_TRUE(bump("d0", "d1", "+1").ok());
+  ASSERT_TRUE(bump("d1", "d2", "+2").ok());
+  EXPECT_EQ(store.size(), PreparedStore::kVersions);  // v0 was trimmed
   EXPECT_FALSE(store.Contains("p", "w", "d0"));
 
-  // Even without retention the lineage record forwards a stale reader to
-  // the successor — the one consistent Π that still exists.
+  // The trimmed version's lineage record forwards a stale reader to the
+  // first resident successor — a consistent Π that still exists.
   PreparedStore::Key k0 = store.BuildKeyCounted("p", "w", "d0");
   PreparedStore::PreparedView view;
   ASSERT_TRUE(store.TryGetView(k0, PreparedStore::EntryOptions{}, nullptr,
@@ -304,28 +325,28 @@ TEST(PreparedStoreUpdateTest, SingleVersionStoreStillForwardsStaleReaders) {
 TEST(PreparedStoreUpdateTest, MissingEntryAndFailingPatchFallBack) {
   PreparedStore store;
   auto noop = [](std::string*, CostMeter*) { return Status::OK(); };
-  auto missing = store.UpdateData("p", "w", "never-inserted", "next", noop);
+  auto missing =
+      store.UpdateData("p", "w", "never-inserted", "next", noop, nullptr, {});
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
 
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("v1");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("v1");
+                           })
                   .ok());
   auto failing = store.UpdateData(
       "p", "w", "d", "d2",
       [](std::string* prepared, CostMeter*) {
         *prepared = "half-written garbage";
         return Status::Internal("patch exploded");
-      });
+      }, nullptr, {});
   EXPECT_EQ(failing.code(), StatusCode::kInternal);
   // The failed patch worked on a private copy: the resident entry still
   // serves the pre-delta payload under the pre-delta key.
   EXPECT_TRUE(store.Contains("p", "w", "d"));
   EXPECT_FALSE(store.Contains("p", "w", "d2"));
   bool hit = false;
-  auto intact = store.GetOrCompute(
+  auto intact = Admit(store,
       "p", "w", "d",
       [](CostMeter*) -> Result<std::string> { return std::string("nope"); },
       nullptr, &hit);
@@ -339,11 +360,10 @@ TEST(PreparedStoreUpdateTest, MissingEntryAndFailingPatchFallBack) {
 TEST(PreparedStoreUpdateTest, PatchRespillsUnderTheNewDigest) {
   const std::string dir = UniqueTempDir("patch_respill");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "v1",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("pi-of-v1");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "v1",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("pi-of-v1");
+                           })
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   ASSERT_TRUE(store
@@ -351,7 +371,7 @@ TEST(PreparedStoreUpdateTest, PatchRespillsUnderTheNewDigest) {
                               [](std::string* prepared, CostMeter*) {
                                 *prepared = "pi-of-v2";
                                 return Status::OK();
-                              })
+                              }, nullptr, {})
                   .ok());
   // A restarted store sees exactly the post-delta world: the patched
   // entry under its new digest, no resurrected pre-delta file.
@@ -362,7 +382,7 @@ TEST(PreparedStoreUpdateTest, PatchRespillsUnderTheNewDigest) {
   EXPECT_TRUE(restarted.Contains("p", "w", "v2"));
   EXPECT_FALSE(restarted.Contains("p", "w", "v1"));
   bool hit = false;
-  auto entry = restarted.GetOrCompute(
+  auto entry = Admit(restarted,
       "p", "w", "v2",
       [](CostMeter*) -> Result<std::string> { return std::string("nope"); },
       nullptr, &hit);
@@ -399,7 +419,7 @@ TEST(PreparedStoreUpdateTest, InflightMissStormDeltaWaitsThenPatches) {
   for (int t = 0; t < kWaiters; ++t) {
     threads.emplace_back([&, t] {
       auto result =
-          store.GetOrCompute("p", "w", "storm-data", blocking_compute);
+          Admit(store, "p", "w", "storm-data", blocking_compute);
       ASSERT_TRUE(result.ok());
       results[static_cast<size_t>(t)] = *result;
     });
@@ -415,7 +435,7 @@ TEST(PreparedStoreUpdateTest, InflightMissStormDeltaWaitsThenPatches) {
                                 EXPECT_EQ(*prepared, "pi-of-old");
                                 *prepared = "patched";
                                 return Status::OK();
-                              });
+                              }, nullptr, {});
     update_done.store(true, std::memory_order_release);
   });
 
@@ -458,7 +478,7 @@ TEST(PreparedStoreUpdateTest, RetryAfterFailedStormFallsBackToNotFound) {
   std::atomic<bool> release{false};
   std::atomic<int> arrived{0};
   std::thread loser([&] {
-    auto result = store.GetOrCompute(
+    auto result = Admit(store,
         "p", "w", "doomed", [&](CostMeter*) -> Result<std::string> {
           ++arrived;
           while (!release.load(std::memory_order_acquire)) {
@@ -475,7 +495,7 @@ TEST(PreparedStoreUpdateTest, RetryAfterFailedStormFallsBackToNotFound) {
                                    [](std::string* prepared, CostMeter*) {
                                      *prepared = "patched";
                                      return Status::OK();
-                                   });
+                                   }, nullptr, {});
     EXPECT_EQ(status.code(), StatusCode::kNotFound);
   });
   // Only release the (failing) storm once the updater is provably parked
@@ -508,22 +528,22 @@ TEST(PreparedStoreEvictionTest, ByteBudgetEvictsLruFirst) {
   };
 
   ASSERT_TRUE(
-      store.GetOrCompute("p", "w", "a", compute, nullptr, nullptr, entry_options)
+      Admit(store, "p", "w", "a", compute, nullptr, nullptr, entry_options)
           .ok());
   ASSERT_TRUE(
-      store.GetOrCompute("p", "w", "b", compute, nullptr, nullptr, entry_options)
+      Admit(store, "p", "w", "b", compute, nullptr, nullptr, entry_options)
           .ok());
   // Touch "a" so "b" becomes the LRU entry.
   bool hit = false;
   ASSERT_TRUE(
-      store.GetOrCompute("p", "w", "a", compute, nullptr, &hit, entry_options)
+      Admit(store, "p", "w", "a", compute, nullptr, &hit, entry_options)
           .ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(store.bytes_resident(), 200u);
 
   // A third 100-byte entry overflows the 250-byte budget: LRU ("b") goes.
   ASSERT_TRUE(
-      store.GetOrCompute("p", "w", "c", compute, nullptr, nullptr, entry_options)
+      Admit(store, "p", "w", "c", compute, nullptr, nullptr, entry_options)
           .ok());
   EXPECT_LE(store.bytes_resident(), 250u);
   EXPECT_FALSE(store.Contains("p", "w", "b"));
@@ -536,24 +556,39 @@ TEST(PreparedStoreEvictionTest, DefaultSizeTracksPayloadAndKeyBytes) {
   PreparedStore::Options options;
   options.byte_budget = 0;  // unbounded; just check the accounting
   PreparedStore store(options);
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string(100, 'x');
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string(100, 'x');
+                           })
                   .ok());
   // key "p\x1fw\x1fd" (5) + payload (100) + the fixed per-entry overhead.
   EXPECT_EQ(store.bytes_resident(),
             105u + PreparedStore::kEntryOverheadBytes);
 }
 
-TEST(PreparedStoreEvictionTest, EntryCapStillEnforced) {
-  PreparedStore store(/*max_entries=*/2);
+/// Entries charged a fixed kFixedCharge bytes each, so a budget of
+/// BudgetOfEntries(n) holds exactly n of them.
+constexpr size_t kFixedCharge = 100;
+PreparedStore::EntryOptions FixedSize() {
+  PreparedStore::EntryOptions entry_options;
+  entry_options.size_of = [](const std::string&) { return kFixedCharge; };
+  return entry_options;
+}
+PreparedStore::Options BudgetOfEntries(size_t entries) {
+  PreparedStore::Options options;
+  options.byte_budget = entries * kFixedCharge;
+  return options;
+}
+
+TEST(PreparedStoreEvictionTest, FixedSizeBudgetCapsEntryCount) {
+  PreparedStore store(BudgetOfEntries(2));
+  const PreparedStore::EntryOptions fixed = FixedSize();
   auto compute = [](CostMeter*) -> Result<std::string> {
     return std::string("x");
   };
   for (const char* data : {"a", "b", "c", "d"}) {
-    ASSERT_TRUE(store.GetOrCompute("p", "w", data, compute).ok());
+    ASSERT_TRUE(
+        Admit(store, "p", "w", data, compute, nullptr, nullptr, fixed).ok());
   }
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.stats().evictions, 2);
@@ -566,23 +601,27 @@ TEST(PreparedStoreEvictionTest, EntryCapStillEnforced) {
 // which pure recency stamps would get backwards. The hit-rate can only
 // improve: hot entries stay resident one sweep longer.
 TEST(PreparedStoreEvictionTest, ClockSecondChanceSparesHitEntriesOverNewerColdOnes) {
-  PreparedStore store(/*max_entries=*/2);
+  PreparedStore store(BudgetOfEntries(2));
+  const PreparedStore::EntryOptions fixed = FixedSize();
   std::atomic<int> computes{0};
   auto compute = [&computes](CostMeter*) -> Result<std::string> {
     ++computes;
     return std::string("x");
   };
+  auto admit = [&](const char* data, bool* hit = nullptr) {
+    return Admit(store, "p", "w", data, compute, nullptr, hit, fixed).ok();
+  };
 
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "a", compute).ok());
+  ASSERT_TRUE(admit("a"));
   bool hit = false;
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "a", compute, nullptr, &hit).ok());
+  ASSERT_TRUE(admit("a", &hit));
   EXPECT_TRUE(hit);  // arms "a"'s second-chance bit
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "b", compute).ok());
+  ASSERT_TRUE(admit("b"));
 
-  // Over cap: "b" has the newest stamp but no second chance, "a" has an
+  // Over budget: "b" has the newest stamp but no second chance, "a" has an
   // older stamp but was hit. Stamp-only LRU would evict "a"; CLOCK spares
   // it and takes "b".
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "c", compute).ok());
+  ASSERT_TRUE(admit("c"));
   EXPECT_TRUE(store.Contains("p", "w", "a"));
   EXPECT_FALSE(store.Contains("p", "w", "b"));
   EXPECT_TRUE(store.Contains("p", "w", "c"));
@@ -591,12 +630,12 @@ TEST(PreparedStoreEvictionTest, ClockSecondChanceSparesHitEntriesOverNewerColdOn
   // Hit-rate no worse: the spared entry still answers warm (Π not re-run),
   // and the hit re-arms its bit for the next sweep.
   hit = false;
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "a", compute, nullptr, &hit).ok());
+  ASSERT_TRUE(admit("a", &hit));
   EXPECT_TRUE(hit);
   EXPECT_EQ(computes.load(), 3);  // a, b, c — never a recompute of "a"
 
   // Re-armed: "a" survives the next sweep too ("c" goes, never hit).
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "d", compute).ok());
+  ASSERT_TRUE(admit("d"));
   EXPECT_TRUE(store.Contains("p", "w", "a"));
   EXPECT_FALSE(store.Contains("p", "w", "c"));
 
@@ -606,9 +645,9 @@ TEST(PreparedStoreEvictionTest, ClockSecondChanceSparesHitEntriesOverNewerColdOn
   // insert epoch), and the next sweep takes "a" — its historical hits no
   // longer protect it.
   hit = false;
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "d", compute, nullptr, &hit).ok());
+  ASSERT_TRUE(admit("d", &hit));
   EXPECT_TRUE(hit);
-  ASSERT_TRUE(store.GetOrCompute("p", "w", "e", compute).ok());
+  ASSERT_TRUE(admit("e"));
   EXPECT_FALSE(store.Contains("p", "w", "a"));
   EXPECT_TRUE(store.Contains("p", "w", "d"));
   EXPECT_TRUE(store.Contains("p", "w", "e"));
@@ -624,27 +663,24 @@ TEST(PreparedStorePersistenceTest, SpillLoadRoundTripsBitForBit) {
   const std::string payload_a = "sorted:1,2,3";
   std::string payload_b(1024, '\x7f');
   payload_b[17] = '\0';  // binary-safe round trip, not text-safe only
-  ASSERT_TRUE(store
-                  .GetOrCompute("prob-a", "wit", "data-a",
-                                [&](CostMeter*) -> Result<std::string> {
-                                  return payload_a;
-                                })
+  ASSERT_TRUE(Admit(store, "prob-a", "wit", "data-a",
+                           [&](CostMeter*) -> Result<std::string> {
+                             return payload_a;
+                           })
                   .ok());
-  ASSERT_TRUE(store
-                  .GetOrCompute("prob-b", "wit", "data-b",
-                                [&](CostMeter*) -> Result<std::string> {
-                                  return payload_b;
-                                })
+  ASSERT_TRUE(Admit(store, "prob-b", "wit", "data-b",
+                           [&](CostMeter*) -> Result<std::string> {
+                             return payload_b;
+                           })
                   .ok());
   // A non-spillable entry must stay out of the spill set.
   PreparedStore::EntryOptions ephemeral;
   ephemeral.spillable = false;
-  ASSERT_TRUE(store
-                  .GetOrCompute("prob-c", "wit", "data-c",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("transient");
-                                },
-                                nullptr, nullptr, ephemeral)
+  ASSERT_TRUE(Admit(store, "prob-c", "wit", "data-c",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("transient");
+                           },
+                           nullptr, nullptr, ephemeral)
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   EXPECT_EQ(store.stats().spilled, 2);
@@ -664,19 +700,19 @@ TEST(PreparedStorePersistenceTest, SpillLoadRoundTripsBitForBit) {
     return std::string("recomputed");
   };
   bool hit = false;
-  auto a = restarted.GetOrCompute("prob-a", "wit", "data-a", must_not_run,
-                                  nullptr, &hit);
+  auto a = Admit(restarted, "prob-a", "wit", "data-a", must_not_run,
+                            nullptr, &hit);
   ASSERT_TRUE(a.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(**a, payload_a);
-  auto b = restarted.GetOrCompute("prob-b", "wit", "data-b", must_not_run,
-                                  nullptr, &hit);
+  auto b = Admit(restarted, "prob-b", "wit", "data-b", must_not_run,
+                            nullptr, &hit);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(**b, payload_b);
   EXPECT_EQ(recomputes.load(), 0);
   // The non-spillable entry degrades to recompute-on-miss.
-  auto c = restarted.GetOrCompute("prob-c", "wit", "data-c", must_not_run,
-                                  nullptr, &hit);
+  auto c = Admit(restarted, "prob-c", "wit", "data-c", must_not_run,
+                            nullptr, &hit);
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(hit);
   EXPECT_EQ(recomputes.load(), 1);
@@ -690,8 +726,8 @@ TEST(PreparedStorePersistenceTest, RespillDropsStaleFilesFromEarlierSpills) {
   };
   {
     PreparedStore store;
-    ASSERT_TRUE(store.GetOrCompute("p", "w", "old", compute).ok());
-    ASSERT_TRUE(store.GetOrCompute("p", "w", "kept", compute).ok());
+    ASSERT_TRUE(Admit(store, "p", "w", "old", compute).ok());
+    ASSERT_TRUE(Admit(store, "p", "w", "kept", compute).ok());
     ASSERT_TRUE(store.Spill(dir).ok());
   }
   {
@@ -699,7 +735,7 @@ TEST(PreparedStorePersistenceTest, RespillDropsStaleFilesFromEarlierSpills) {
     // spilling to the same directory must not leave its file behind for
     // Load to resurrect.
     PreparedStore store;
-    ASSERT_TRUE(store.GetOrCompute("p", "w", "kept", compute).ok());
+    ASSERT_TRUE(Admit(store, "p", "w", "kept", compute).ok());
     ASSERT_TRUE(store.Spill(dir).ok());
   }
   PreparedStore restarted;
@@ -719,11 +755,10 @@ TEST(PreparedStorePersistenceTest, RespillDropsStaleFilesFromEarlierSpills) {
 TEST(PreparedStorePersistenceTest, LoadAfterRespillSkipsResidentHead) {
   const std::string dir = UniqueTempDir("load_respill");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d0",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("v0");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d0",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("v0");
+                           })
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   ASSERT_TRUE(store
@@ -731,7 +766,7 @@ TEST(PreparedStorePersistenceTest, LoadAfterRespillSkipsResidentHead) {
                               [](std::string* prepared, CostMeter*) {
                                 prepared->append("+1");
                                 return Status::OK();
-                              })
+                              }, nullptr, {})
                   .ok());
   // The respill rewrote the directory: one file for the new head, the
   // pre-delta file removed.
@@ -746,7 +781,7 @@ TEST(PreparedStorePersistenceTest, LoadAfterRespillSkipsResidentHead) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(*reloaded, 0u);
   bool hit = false;
-  auto entry = store.GetOrCompute(
+  auto entry = Admit(store,
       "p", "w", "d1",
       [](CostMeter*) -> Result<std::string> {
         return Status::Internal("must not recompute");
@@ -774,11 +809,10 @@ TEST(PreparedStorePersistenceTest, LoadAfterRespillSkipsResidentHead) {
 TEST(PreparedStorePersistenceTest, ConcurrentLoadAndRespillKeepPatchedHead) {
   const std::string dir = UniqueTempDir("load_race");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d0",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("pi");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d0",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("pi");
+                           })
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   constexpr int kVersions = 6;
@@ -799,14 +833,14 @@ TEST(PreparedStorePersistenceTest, ConcurrentLoadAndRespillKeepPatchedHead) {
                                 [k](std::string* prepared, CostMeter*) {
                                   prepared->append("+" + std::to_string(k));
                                   return Status::OK();
-                                })
+                                }, nullptr, {})
                     .ok());
     data = next;
   }
   done.store(true, std::memory_order_release);
   loader.join();
   bool hit = false;
-  auto entry = store.GetOrCompute(
+  auto entry = Admit(store,
       "p", "w", data,
       [](CostMeter*) -> Result<std::string> {
         return Status::Internal("must not recompute");
@@ -821,11 +855,10 @@ TEST(PreparedStorePersistenceTest, ConcurrentLoadAndRespillKeepPatchedHead) {
 TEST(PreparedStorePersistenceTest, CorruptSpillFilesAreSkipped) {
   const std::string dir = UniqueTempDir("corrupt");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("good");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("good");
+                           })
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   {  // Wrong magic.
@@ -858,11 +891,10 @@ TEST(PreparedStorePersistenceTest, CorruptSpillFilesAreSkipped) {
 TEST(PreparedStorePersistenceTest, LoadClassifiesBitRotAsCorrupt) {
   const std::string dir = UniqueTempDir("bitrot");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("payload-bytes");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("payload-bytes");
+                           })
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
   // Flip one bit somewhere in the body of the (only) spilled frame.
@@ -900,11 +932,10 @@ TEST(PreparedStorePersistenceTest, SpillFailuresAreCountedAndBestEffort) {
   const std::string dir = UniqueTempDir("spill_fail");
   PreparedStore store;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store
-                    .GetOrCompute("p", "w", "d" + std::to_string(i),
-                                  [i](CostMeter*) -> Result<std::string> {
-                                    return "pi" + std::to_string(i);
-                                  })
+    ASSERT_TRUE(Admit(store, "p", "w", "d" + std::to_string(i),
+                             [i](CostMeter*) -> Result<std::string> {
+                               return "pi" + std::to_string(i);
+                             })
                     .ok());
   }
   {
@@ -933,11 +964,10 @@ TEST(PreparedStorePersistenceTest, SpillFailuresAreCountedAndBestEffort) {
 TEST(PreparedStorePersistenceTest, RenameFailpointLeavesNoPublishedFrame) {
   const std::string dir = UniqueTempDir("rename_fail");
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "d",
-                                [](CostMeter*) -> Result<std::string> {
-                                  return std::string("pi");
-                                })
+  ASSERT_TRUE(Admit(store, "p", "w", "d",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("pi");
+                           })
                   .ok());
   {
     failpoint::ScopedFailpoints guard;
@@ -1120,8 +1150,8 @@ TEST(PreparedStoreViewTest, ViewBuiltExactlyOnceUnderMissStorm) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       ++started;
-      auto result = store.GetOrComputeView("p", "w", "same-data", compute,
-                                           &meter, nullptr, entry_options);
+      auto result = AdmitView(store, "p", "w", "same-data", compute,
+                                     &meter, nullptr, entry_options);
       ASSERT_TRUE(result.ok());
       results[static_cast<size_t>(t)] = *result;
     });
@@ -1149,12 +1179,12 @@ TEST(PreparedStoreViewTest, WarmHitServesMemoizedViewWithoutRebuild) {
   auto compute = [](CostMeter*) -> Result<std::string> {
     return std::string("v1");
   };
-  auto cold = store.GetOrComputeView("p", "w", "d", compute, nullptr, nullptr,
-                                     entry_options);
+  auto cold = AdmitView(store, "p", "w", "d", compute, nullptr, nullptr,
+                               entry_options);
   ASSERT_TRUE(cold.ok());
   bool hit = false;
-  auto warm = store.GetOrComputeView("p", "w", "d", compute, nullptr, &hit,
-                                     entry_options);
+  auto warm = AdmitView(store, "p", "w", "d", compute, nullptr, &hit,
+                               entry_options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(builds.load(), 1);
@@ -1171,9 +1201,8 @@ TEST(PreparedStoreViewTest, ViewRebuiltLazilyAfterLoad) {
   };
   {
     PreparedStore store;
-    ASSERT_TRUE(store
-                    .GetOrComputeView("p", "w", "d", compute, nullptr,
-                                      nullptr, entry_options)
+    ASSERT_TRUE(AdmitView(store, "p", "w", "d", compute, nullptr,
+                                 nullptr, entry_options)
                     .ok());
     ASSERT_TRUE(store.Spill(dir).ok());
   }
@@ -1187,15 +1216,15 @@ TEST(PreparedStoreViewTest, ViewRebuiltLazilyAfterLoad) {
   auto fail_compute = [](CostMeter*) -> Result<std::string> {
     return Status::Internal("Π must not run on a loaded entry");
   };
-  auto warm = restarted.GetOrComputeView("p", "w", "d", fail_compute, nullptr,
-                                         &hit, entry_options);
+  auto warm = AdmitView(restarted, "p", "w", "d", fail_compute, nullptr,
+                                   &hit, entry_options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(hit);
   ASSERT_NE(warm->view, nullptr);
   EXPECT_EQ(ViewString(*warm), "persisted");
   EXPECT_EQ(restarted.stats().view_builds, 1);  // rebuilt lazily, once
-  auto again = restarted.GetOrComputeView("p", "w", "d", fail_compute,
-                                          nullptr, &hit, entry_options);
+  auto again = AdmitView(restarted, "p", "w", "d", fail_compute,
+                                    nullptr, &hit, entry_options);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->view, warm->view);  // memoized thereafter
   EXPECT_EQ(restarted.stats().view_builds, 1);
@@ -1203,11 +1232,12 @@ TEST(PreparedStoreViewTest, ViewRebuiltLazilyAfterLoad) {
 }
 
 TEST(PreparedStoreViewTest, EvictionDropsViewAndMissRebuildsIt) {
+  // Room for one fixed-size entry and its view, never for two entries.
   PreparedStore::Options options;
-  options.max_entries = 1;
+  options.byte_budget = kFixedCharge * 3 / 2;
   PreparedStore store(options);
   std::atomic<int> builds{0};
-  PreparedStore::EntryOptions entry_options;
+  PreparedStore::EntryOptions entry_options = FixedSize();
   entry_options.make_view = CountingViewFn(&builds);
   auto compute_a = [](CostMeter*) -> Result<std::string> {
     return std::string("a");
@@ -1215,17 +1245,16 @@ TEST(PreparedStoreViewTest, EvictionDropsViewAndMissRebuildsIt) {
   auto compute_b = [](CostMeter*) -> Result<std::string> {
     return std::string("b");
   };
-  auto first = store.GetOrComputeView("p", "w", "a", compute_a, nullptr,
-                                      nullptr, entry_options);
+  auto first = AdmitView(store, "p", "w", "a", compute_a, nullptr,
+                                nullptr, entry_options);
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(store
-                  .GetOrComputeView("p", "w", "b", compute_b, nullptr,
-                                    nullptr, entry_options)
-                  .ok());  // evicts "a" (and its view) past the entry cap
+  ASSERT_TRUE(AdmitView(store, "p", "w", "b", compute_b, nullptr,
+                               nullptr, entry_options)
+                  .ok());  // evicts "a" (and its view) past the budget
   EXPECT_FALSE(store.Contains("p", "w", "a"));
   bool hit = true;
-  auto recomputed = store.GetOrComputeView("p", "w", "a", compute_a, nullptr,
-                                           &hit, entry_options);
+  auto recomputed = AdmitView(store, "p", "w", "a", compute_a, nullptr,
+                                     &hit, entry_options);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_FALSE(hit);  // a real miss: Π and the view build both re-ran
   EXPECT_EQ(builds.load(), 3);
@@ -1238,7 +1267,7 @@ TEST(PreparedStoreViewTest, UpdateDataRebuildsViewFromPatchedPayload) {
   std::atomic<int> builds{0};
   PreparedStore::EntryOptions entry_options;
   entry_options.make_view = CountingViewFn(&builds);
-  auto cold = store.GetOrComputeView(
+  auto cold = AdmitView(store,
       "p", "w", "old",
       [](CostMeter*) -> Result<std::string> { return std::string("pi-old"); },
       nullptr, nullptr, entry_options);
@@ -1256,7 +1285,7 @@ TEST(PreparedStoreViewTest, UpdateDataRebuildsViewFromPatchedPayload) {
   EXPECT_EQ(builds.load(), 2);  // the re-key built a fresh post-patch view
 
   bool hit = false;
-  auto warm = store.GetOrComputeView(
+  auto warm = AdmitView(store,
       "p", "w", "new",
       [](CostMeter*) -> Result<std::string> {
         return Status::Internal("patched entry must hit");
@@ -1281,7 +1310,7 @@ TEST(PreparedStoreViewTest, FailedViewBuildDegradesToStringPathOnce) {
     attempts.fetch_add(1);
     return Status::Internal("decoder broken");
   };
-  auto cold = store.GetOrComputeView(
+  auto cold = AdmitView(store,
       "p", "w", "d",
       [](CostMeter*) -> Result<std::string> { return std::string("ok"); },
       nullptr, nullptr, entry_options);
@@ -1292,7 +1321,7 @@ TEST(PreparedStoreViewTest, FailedViewBuildDegradesToStringPathOnce) {
   EXPECT_EQ(store.stats().view_builds, 0);
   for (int i = 0; i < 3; ++i) {
     bool hit = false;
-    auto warm = store.GetOrComputeView(
+    auto warm = AdmitView(store,
         "p", "w", "d",
         [](CostMeter*) -> Result<std::string> {
           return Status::Internal("must hit");
@@ -1316,13 +1345,11 @@ TEST(PreparedStoreViewTest, ResidentViewsCountAgainstTheByteBudget) {
   auto compute = [](CostMeter*) -> Result<std::string> {
     return std::string(1000, 'x');
   };
-  ASSERT_TRUE(with_views
-                  .GetOrComputeView("p", "w", "d", compute, nullptr, nullptr,
+  ASSERT_TRUE(AdmitView(with_views, "p", "w", "d", compute, nullptr, nullptr,
                                     view_options)
                   .ok());
-  ASSERT_TRUE(without_views
-                  .GetOrComputeView("p", "w", "d", compute, nullptr, nullptr,
-                                    PreparedStore::EntryOptions{})
+  ASSERT_TRUE(AdmitView(without_views, "p", "w", "d", compute, nullptr, nullptr,
+                                       PreparedStore::EntryOptions{})
                   .ok());
   // The decoded view charges ≈ payload bytes on top of the payload+key
   // estimate, so byte-budgeted eviction sees the real residency.
@@ -1339,9 +1366,8 @@ TEST(PreparedStoreViewTest, ConcurrentLazyRebuildsAfterLoadStayConsistent) {
     return std::string("raced");
   };
   PreparedStore store;
-  ASSERT_TRUE(store
-                  .GetOrComputeView("p", "w", "d", compute, nullptr, nullptr,
-                                    entry_options)
+  ASSERT_TRUE(AdmitView(store, "p", "w", "d", compute, nullptr, nullptr,
+                               entry_options)
                   .ok());
   ASSERT_TRUE(store.Spill(dir).ok());
 
@@ -1362,8 +1388,8 @@ TEST(PreparedStoreViewTest, ConcurrentLazyRebuildsAfterLoadStayConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&] {
       while (!stop.load()) {
-        auto pv = store.GetOrComputeView("p", "w", "d", compute, nullptr,
-                                         nullptr, entry_options);
+        auto pv = AdmitView(store, "p", "w", "d", compute, nullptr,
+                                   nullptr, entry_options);
         ASSERT_TRUE(pv.ok());
         ASSERT_NE(pv->prepared, nullptr);
         EXPECT_EQ(*pv->prepared, "raced");
@@ -1408,9 +1434,8 @@ TEST(PreparedStoreKeyTest, PrecomputedKeySkipsKeyBuildsOnWarmHits) {
 
   // The string-keyed flavor pays one key build per call, every call.
   bool hit = false;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "some-large-data-part", compute,
-                                nullptr, &hit)
+  ASSERT_TRUE(Admit(store, "p", "w", "some-large-data-part", compute,
+                           nullptr, &hit)
                   .ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(store.stats().key_builds, 1);
@@ -1636,7 +1661,7 @@ TEST(PreparedStoreLockFreeTest, HittersRaceEvictionRekeysAndLoads) {
           [&](std::string* prepared, CostMeter*) {
             *prepared = "churn-payload-v" + std::to_string(version + 1);
             return Status::OK();
-          });
+          }, nullptr, {});
       if (!status.ok() && status.code() != StatusCode::kNotFound &&
           status.code() != StatusCode::kUnavailable) {
         ++violations;
@@ -1671,7 +1696,7 @@ TEST(PreparedStoreLockFreeTest, HittersRaceEvictionRekeysAndLoads) {
 }
 
 // Options::shards == 0 auto-sizes from the core count: a power of two,
-// at least 2x hardware_concurrency (and the legacy ctor inherits it).
+// at least 2x hardware_concurrency (and a budgeted store inherits it).
 TEST(PreparedStoreOptionsTest, ZeroShardsAutoSizesFromCoreCount) {
   PreparedStore store{PreparedStore::Options{}};
   const size_t shards = store.options().shards;
@@ -1679,9 +1704,9 @@ TEST(PreparedStoreOptionsTest, ZeroShardsAutoSizesFromCoreCount) {
       std::max<size_t>(std::thread::hardware_concurrency(), 1);
   EXPECT_GE(shards, 2 * cores);
   EXPECT_EQ(shards & (shards - 1), 0u) << shards << " is not a power of two";
-  PreparedStore legacy(/*max_entries=*/8);
-  EXPECT_EQ(legacy.options().shards, shards);
-  EXPECT_EQ(legacy.options().max_entries, 8u);
+  PreparedStore budgeted(BudgetOfEntries(8));
+  EXPECT_EQ(budgeted.options().shards, shards);
+  EXPECT_EQ(budgeted.options().byte_budget, 8 * kFixedCharge);
 }
 
 // ---------------------------------------------------------------------------
@@ -1689,146 +1714,107 @@ TEST(PreparedStoreOptionsTest, ZeroShardsAutoSizesFromCoreCount) {
 // demoted) -> cold (evicted, spilled when a directory is armed).
 // ---------------------------------------------------------------------------
 
-// The full ladder in one deterministic sequence: under byte pressure the
-// sweep sheds decoded views first (cheapest-expected-loss view first, even
-// when that view's entry is the *more* hit one), re-promotes them through
-// the lazy rebuild on the next hit, and only evicts a whole entry once
-// there are no view bytes left to shed — and then takes the never-hit
-// entry, not the hot ones.
-TEST(PreparedStoreTieringTest, DemotesViewsByExpectedLossBeforeEvicting) {
+// The full ladder in one deterministic sequence, pinning the one victim
+// order that demotion and eviction share: entries without a CLOCK bit
+// first, then superseded versions, then the oldest recency stamp. Every
+// entry is charged a fixed 100 bytes plus its view, and the views have
+// distinct power-of-two sizes, so bytes_resident() alone says which views
+// a sweep shed — no probe has to touch (and so re-order) an entry.
+TEST(PreparedStoreTieringTest, DemotesViewsInVictimOrderBeforeEvicting) {
   PreparedStore::Options options;
   options.shards = 1;
-  options.byte_budget = 900;
-  ASSERT_TRUE(options.tiered);  // tiering is the default
+  options.byte_budget = 700;
   PreparedStore store(options);
 
-  PreparedStore::EntryOptions size_only;
-  size_only.size_of = [](const std::string& s) { return s.size(); };
-
-  // "expensive": a view the caller declares very costly to rebuild.
-  std::atomic<int> builds_expensive{0};
-  PreparedStore::EntryOptions expensive_options = size_only;
-  expensive_options.make_view = CountingViewFn(&builds_expensive);
-  expensive_options.view_loss_ops = 10000;
-  const std::string expensive_payload(200, 'e');
-  auto compute_expensive = [&](CostMeter*) -> Result<std::string> {
-    return expensive_payload;
+  std::map<std::string, std::atomic<int>> builds;
+  auto options_for = [&builds](const std::string& data) {
+    PreparedStore::EntryOptions entry_options = FixedSize();
+    entry_options.make_view = CountingViewFn(&builds[data]);
+    return entry_options;
   };
-
-  // "cheap": same size, same recency, MORE hits — but a near-free rebuild.
-  std::atomic<int> builds_cheap{0};
-  PreparedStore::EntryOptions cheap_options = size_only;
-  cheap_options.make_view = CountingViewFn(&builds_cheap);
-  cheap_options.view_loss_ops = 10;
-  const std::string cheap_payload(200, 'c');
-  auto compute_cheap = [&](CostMeter*) -> Result<std::string> {
-    return cheap_payload;
+  auto admit = [&](const std::string& data, size_t view_bytes) {
+    const std::string payload(view_bytes, data[0]);
+    return AdmitView(
+               store, "p", "w", data,
+               [payload](CostMeter*) -> Result<std::string> {
+                 return payload;
+               },
+               nullptr, nullptr, options_for(data))
+        .ok();
   };
-
   auto fail_compute = [](CostMeter*) -> Result<std::string> {
     return Status::Internal("Π must not run on a warm entry");
   };
-
-  // Admit both hot: payload 200 + view 200 = 400 bytes each.
-  auto cold_expensive = store.GetOrComputeView(
-      "p", "w", "expensive", compute_expensive, nullptr, nullptr,
-      expensive_options);
-  ASSERT_TRUE(cold_expensive.ok());
-  ASSERT_TRUE(store
-                  .GetOrComputeView("p", "w", "cheap", compute_cheap, nullptr,
-                                    nullptr, cheap_options)
-                  .ok());
-  EXPECT_EQ(store.bytes_resident(), 800u);
-
-  // Hit both in the same epoch; "cheap" twice as hard.
-  bool hit = false;
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(store
-                    .GetOrComputeView("p", "w", "expensive", fail_compute,
-                                      nullptr, &hit, expensive_options)
-                    .ok());
-    ASSERT_TRUE(hit);
-  }
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(store
-                    .GetOrComputeView("p", "w", "cheap", fail_compute, nullptr,
-                                      &hit, cheap_options)
-                    .ok());
-    ASSERT_TRUE(hit);
-  }
-
-  // 150 more bytes overflow the 900-byte budget by 50. Tiered Phase A:
-  // demote a view rather than evict anything — and the victim is the
-  // *cheap-to-rebuild* view despite its entry being hit twice as often.
-  PreparedStore::EntryOptions filler_options = size_only;
-  auto compute_filler = [](CostMeter*) -> Result<std::string> {
-    return std::string(150, 'f');
+  // A warm probe that serves without rebuilding a demoted view (no
+  // ViewFn), so touching an entry never moves the byte count.
+  auto touch = [&store](const std::string& data) {
+    PreparedStore::PreparedView view;
+    return store.TryGetView(store.BuildKeyCounted("p", "w", data),
+                            PreparedStore::EntryOptions{}, nullptr, &view);
   };
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "filler", compute_filler, nullptr,
-                                nullptr, filler_options)
-                  .ok());
-  EXPECT_EQ(store.stats().view_demotions, 1);
+
+  // Admission order fixes the recency stamps: "hit" is stamped in the
+  // same epoch as "pad", so it is *older* than "young" — only its CLOCK
+  // bit keeps its view past young's.
+  ASSERT_TRUE(admit("hit", 80));
+  ASSERT_TRUE(admit("old", 20));
+  ASSERT_TRUE(touch("hit"));     // arms hit's CLOCK bit
+  ASSERT_TRUE(admit("pad", 0));  // no view: an eviction candidate only
+  ASSERT_TRUE(admit("young", 40));
+  ASSERT_TRUE(admit("retired", 10));
+  store.Retire(store.BuildKeyCounted("p", "w", "retired"));  // superseded
+  EXPECT_EQ(store.bytes_resident(), 650u);  // 5 x 100 + 80 + 20 + 40 + 10
+  EXPECT_EQ(store.stats().view_demotions, 0);
+
+  // 100 more bytes overflow the budget by 50: views are shed, in order
+  // retired (superseded, though newer than old), old, then young (never
+  // hit, though newer than hit) — 70 bytes. Any other order sheds another
+  // set: stamp order alone old+hit (650), no superseded rule old+young
+  // (690), no CLOCK rule retired+old+hit (640). Nothing is evicted.
+  ASSERT_TRUE(admit("filler", 0));
+  EXPECT_EQ(store.stats().view_demotions, 3);
   EXPECT_EQ(store.stats().evictions, 0);
-  EXPECT_EQ(store.bytes_resident(), 750u);
-  EXPECT_TRUE(store.Contains("p", "w", "expensive"));
-  EXPECT_TRUE(store.Contains("p", "w", "cheap"));
-  EXPECT_TRUE(store.Contains("p", "w", "filler"));
+  EXPECT_EQ(store.bytes_resident(), 680u);
 
-  // The expensive view was spared: still the memoized pointer, no rebuild.
-  auto warm_expensive = store.GetOrComputeView(
-      "p", "w", "expensive", fail_compute, nullptr, &hit, expensive_options);
-  ASSERT_TRUE(warm_expensive.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(warm_expensive->view, cold_expensive->view);
-  EXPECT_EQ(builds_expensive.load(), 1);
+  // Hit three entries, then overflow by 230 with a 250-byte entry. The
+  // last view (hit's 80) goes first; then eviction takes the superseded
+  // entry and the never-hit "pad" — the oldest — and spares every entry
+  // that was hit, though "filler" was never hit either: 200 bytes clear
+  // the rest of the deficit.
+  ASSERT_TRUE(touch("old"));
+  ASSERT_TRUE(touch("young"));
+  ASSERT_TRUE(touch("hit"));
+  PreparedStore::EntryOptions big_options;
+  big_options.size_of = [](const std::string&) -> size_t { return 250; };
+  ASSERT_TRUE(Admit(store, "p", "w", "big",
+                    [](CostMeter*) -> Result<std::string> {
+                      return std::string("big");
+                    },
+                    nullptr, nullptr, big_options)
+                  .ok());
+  EXPECT_EQ(store.stats().view_demotions, 4);
+  EXPECT_EQ(store.stats().evictions, 2);
+  EXPECT_EQ(store.bytes_resident(), 650u);
+  EXPECT_FALSE(store.Contains("p", "w", "pad"));
+  for (const char* kept : {"old", "young", "hit", "filler", "big"}) {
+    EXPECT_TRUE(store.Contains("p", "w", kept)) << kept;
+  }
+  PreparedStore::PreparedView gone;
+  EXPECT_FALSE(store.TryGetView(store.BuildKeyCounted("p", "w", "retired"),
+                                PreparedStore::EntryOptions{}, nullptr,
+                                &gone));
 
-  // The cheap view re-promotes hot through the lazy rebuild — Π never
+  // A demoted entry re-promotes hot through the lazy rebuild — Π never
   // re-runs, the payload was resident the whole time.
-  auto repromoted = store.GetOrComputeView("p", "w", "cheap", fail_compute,
-                                           nullptr, &hit, cheap_options);
+  bool hit = false;
+  auto repromoted = AdmitView(store, "p", "w", "old", fail_compute, nullptr,
+                              &hit, options_for("old"));
   ASSERT_TRUE(repromoted.ok());
   EXPECT_TRUE(hit);
   ASSERT_NE(repromoted->view, nullptr);
-  EXPECT_EQ(ViewString(*repromoted), cheap_payload);
-  EXPECT_EQ(builds_cheap.load(), 2);
-  // The rebuild pushed the store back over budget; the sweep it triggers
-  // demotes the cheap view again (still the cheapest loss) — and still
-  // evicts nothing.
-  EXPECT_EQ(store.stats().view_demotions, 2);
-  EXPECT_EQ(store.stats().evictions, 0);
-  EXPECT_EQ(store.bytes_resident(), 750u);
-
-  // 400 more bytes: one view demotion (200) cannot cover the deficit, so
-  // the sweep falls through to eviction — and takes the never-hit filler,
-  // not the hot pair or the newcomer.
-  PreparedStore::EntryOptions big_options = size_only;
-  auto compute_big = [](CostMeter*) -> Result<std::string> {
-    return std::string(400, 'g');
-  };
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "big", compute_big, nullptr, nullptr,
-                                big_options)
-                  .ok());
-  EXPECT_EQ(store.stats().view_demotions, 3);
-  EXPECT_EQ(store.stats().evictions, 1);
-  EXPECT_FALSE(store.Contains("p", "w", "filler"));
-  EXPECT_TRUE(store.Contains("p", "w", "expensive"));
-  EXPECT_TRUE(store.Contains("p", "w", "cheap"));
-  EXPECT_TRUE(store.Contains("p", "w", "big"));
-  EXPECT_EQ(store.bytes_resident(), 800u);  // 200 + 200 + 400, all warm
-
-  // Both demoted entries still answer correctly (and re-promote again).
-  auto check_expensive = store.GetOrComputeView(
-      "p", "w", "expensive", fail_compute, nullptr, &hit, expensive_options);
-  ASSERT_TRUE(check_expensive.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(*check_expensive->prepared, expensive_payload);
-  auto check_cheap = store.GetOrComputeView("p", "w", "cheap", fail_compute,
-                                            nullptr, &hit, cheap_options);
-  ASSERT_TRUE(check_cheap.ok());
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(*check_cheap->prepared, cheap_payload);
+  EXPECT_EQ(ViewString(*repromoted), std::string(20, 'o'));
+  EXPECT_EQ(builds["old"].load(), 2);
+  EXPECT_EQ(store.bytes_resident(), 670u);
 }
 
 // Warm -> cold -> warm: with a spill directory armed, an evicted entry's
@@ -1857,25 +1843,21 @@ TEST(PreparedStoreTieringTest, ColdDemotionSpillsVictimAndPromotesOnNextMiss) {
     return Status::Internal("Π must not run: the spill frame covers this");
   };
 
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "a", make_compute("a"), nullptr,
-                                nullptr, entry_options)
+  ASSERT_TRUE(Admit(store, "p", "w", "a", make_compute("a"), nullptr,
+                           nullptr, entry_options)
                   .ok());
   // Spill arms the directory: from here on, evictions write cold frames.
   ASSERT_TRUE(store.Spill(dir).ok());
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "b", make_compute("b"), nullptr,
-                                nullptr, entry_options)
+  ASSERT_TRUE(Admit(store, "p", "w", "b", make_compute("b"), nullptr,
+                           nullptr, entry_options)
                   .ok());
   bool hit = false;
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "b", fail_compute, nullptr, &hit,
-                                entry_options)
+  ASSERT_TRUE(Admit(store, "p", "w", "b", fail_compute, nullptr, &hit,
+                           entry_options)
                   .ok());
   ASSERT_TRUE(hit);  // arms b's second chance: b survives the sweep
-  ASSERT_TRUE(store
-                  .GetOrCompute("p", "w", "c", make_compute("c"), nullptr,
-                                nullptr, entry_options)
+  ASSERT_TRUE(Admit(store, "p", "w", "c", make_compute("c"), nullptr,
+                           nullptr, entry_options)
                   .ok());
 
   // 300 > 250: exactly one of the never-hit entries went cold.
@@ -1890,8 +1872,8 @@ TEST(PreparedStoreTieringTest, ColdDemotionSpillsVictimAndPromotesOnNextMiss) {
   // The re-miss promotes the cold frame: Π does not run, the payload is
   // byte-identical, and the miss is still counted as a miss.
   hit = true;
-  auto promoted = store.GetOrCompute("p", "w", victim, fail_compute, nullptr,
-                                     &hit, entry_options);
+  auto promoted = Admit(store, "p", "w", victim, fail_compute, nullptr,
+                               &hit, entry_options);
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_FALSE(hit);
   std::string expected = "payload-" + victim;
@@ -1907,8 +1889,8 @@ TEST(PreparedStoreTieringTest, ColdDemotionSpillsVictimAndPromotesOnNextMiss) {
   EXPECT_EQ(store.stats().cold_demotions, 2);
   EXPECT_TRUE(store.Contains("p", "w", victim));
   hit = false;
-  auto warm = store.GetOrCompute("p", "w", victim, fail_compute, nullptr,
-                                 &hit, entry_options);
+  auto warm = Admit(store, "p", "w", victim, fail_compute, nullptr,
+                           &hit, entry_options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(computes["a"] + computes["b"] + computes["c"], 3);
@@ -1934,9 +1916,6 @@ TEST(PreparedStoreTieringTest, WarmHittersRaceDemotionSweepsWithoutLockedHits) {
   hitter_options.size_of = [](const std::string& s) { return s.size(); };
   std::atomic<int> rebuilds{0};
   hitter_options.make_view = CountingViewFn(&rebuilds);
-  // Declared Π re-run cost: under pressure the sweep must prefer evicting
-  // loss-0 churn entries over any hammered hitter.
-  hitter_options.evict_loss_ops = 1e6;
 
   std::vector<PreparedStore::Key> keys;
   std::vector<std::string> payloads;
@@ -2001,13 +1980,11 @@ TEST(PreparedStoreTieringTest, WarmHittersRaceDemotionSweepsWithoutLockedHits) {
       ASSERT_TRUE(hit);
     }
     const std::string data = "churn-" + std::to_string(i);
-    ASSERT_TRUE(store
-                    .GetOrCompute(
-                        "p", "w", data,
-                        [](CostMeter*) -> Result<std::string> {
-                          return std::string(300, 'x');
-                        },
-                        nullptr, nullptr, churn_options)
+    ASSERT_TRUE(Admit(store, "p", "w", data,
+                      [](CostMeter*) -> Result<std::string> {
+                        return std::string(300, 'x');
+                      },
+                      nullptr, nullptr, churn_options)
                     .ok());
   }
   done.store(true, std::memory_order_release);
