@@ -125,12 +125,17 @@ class WitnessRoute {
 /// end (the store re-validates by shared-pointer equality). Copy/share
 /// handles freely across threads.
 ///
-/// Contract: `key` names the witness the handle was interned under and
-/// never changes. The handle's answers follow its `route`: when a warm
-/// upgrade moves the part to another witness, every copy of the handle
-/// answers from the upgraded entry on its next batch. A handle addresses
-/// the data part it was interned for — after an ApplyDelta, intern the
-/// post-delta data part for a new handle.
+/// Contract: a handle answers for the data part it was interned for, on
+/// every face — blocking AnswerBatch, TryAnswerWarm, and the pipeline —
+/// before and after any ApplyDelta, Spill or Load. `key` names the witness
+/// the handle was interned under and never changes. The handle's answers
+/// follow its `route`: when a warm upgrade moves the part to another
+/// witness, every copy of the handle answers from the upgraded entry on
+/// its next batch. A route moves only between witnesses of the same data
+/// part, never across a delta: a cold miss runs Π on `data` under the
+/// route's key. After an ApplyDelta the handle keeps answering its own
+/// version (warm while the store retains it, else through one Π on a
+/// miss); intern the post-delta data part for a handle on the new one.
 struct DataHandle {
   std::string problem;
   /// The data part, shared so Π can still run on a (rare) cold miss
@@ -275,9 +280,11 @@ class QueryEngine {
   /// blocking face would produce (cache_hit == true, prepare_runs == 0).
   /// Returns false on a cold part — without running Π, blocking on an
   /// in-flight Π, or touching a shard mutex — so a serving worker can park
-  /// the batch and keep draining warm traffic. Errors (unknown problem, a
-  /// query that fails to parse) are real errors, not "cold". A witness
-  /// upgrade this batch triggers is queued, never run here
+  /// the batch and keep draining warm traffic. A handle whose version a
+  /// delta stream has pushed out of the store's version window is cold
+  /// too: it is never answered from a newer version. Errors (unknown
+  /// problem, a query that fails to parse) are real errors, not "cold". A
+  /// witness upgrade this batch triggers is queued, never run here
   /// (`result->upgrade_queued`).
   Result<bool> TryAnswerWarm(const DataHandle& handle,
                              std::span<const std::string> queries,
@@ -345,8 +352,8 @@ class QueryEngine {
   /// ServeParallel traffic: a Π in flight on the old data part is waited
   /// out once and the patch retried against what it publishes
   /// (`Stats::update_retries`) — an entry is never re-keyed out from
-  /// under waiters on the shared_future — and readers that already
-  /// hold the pre-delta structure keep a consistent snapshot. When
+  /// under waiters on the shared_future — and handles on the pre-delta
+  /// part keep answering it (see DataHandle). When
   /// patching is not possible the call still succeeds with
   /// `DeltaOutcome::patched == false` and the post-delta data part simply
   /// recomputes on its first miss.

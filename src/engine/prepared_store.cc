@@ -189,29 +189,6 @@ FrameRead ReadSpillFrame(const fs::path& path, SpillFrame* frame) {
   return FrameRead::kOk;
 }
 
-/// Second, independent 64-bit hash of the key bytes (different offset
-/// basis and fold), guarding the first lineage-resolution hop: a stale
-/// probe mis-resolves only if the foreign key collides in *both* hashes.
-uint64_t AltKeyDigest(std::string_view bytes) {
-  uint64_t hash = 0x9e3779b97f4a7c15ull;
-  const char* p = bytes.data();
-  size_t remaining = bytes.size();
-  while (remaining >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    hash ^= word;
-    hash *= 0xff51afd7ed558ccdull;
-    hash ^= hash >> 33;
-    p += 8;
-    remaining -= 8;
-  }
-  for (; remaining > 0; --remaining) {
-    hash ^= static_cast<unsigned char>(*p++);
-    hash *= 0xff51afd7ed558ccdull;
-  }
-  return hash ^ (hash >> 29);
-}
-
 /// Options::shards == 0 means "size for the machine": the next power of
 /// two >= 2x the core count, so a fully loaded host rarely maps two hot
 /// data parts onto the same stripe.
@@ -381,22 +358,21 @@ void PreparedStore::AttachView(const EntryOptions& entry_options,
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
-    const EntryPtr& entry, const EntryOptions& entry_options,
+    uint64_t digest, const EntryPtr& entry, const EntryOptions& entry_options,
     CostMeter* meter) {
   // Decode outside every lock — the build is O(|Π(D)|) and must not stall
   // the stripe. Two racing hitters may both decode; exactly one publishes
   // (the miss-storm path never races: the in-flight winner builds before
-  // publishing the entry). The entry is addressed by its *own* digest —
-  // a lineage-resolved hit's probe key lives in a different shard.
+  // publishing the entry).
   std::shared_ptr<const void> built =
       BuildView(entry_options, entry->prepared, meter);
   std::shared_ptr<const void> serve = built;
   bool accounted = false;
   {
-    Shard& shard = ShardFor(entry->digest);
+    Shard& shard = ShardFor(digest);
     std::lock_guard<std::mutex> lock(shard.mutex);
     TableRef table = shard.snapshot.Acquire();
-    auto it = table->find(entry->digest);
+    auto it = table->find(digest);
     if (it != table->end() && it->second == entry) {
       if (entry->view_ready.load(std::memory_order_relaxed) != nullptr) {
         serve = entry->view;  // somebody else won the publish race
@@ -427,7 +403,7 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
-    const EntryPtr& entry, const EntryOptions& entry_options,
+    uint64_t digest, const EntryPtr& entry, const EntryOptions& entry_options,
     CostMeter* meter, bool* hit, bool locked) {
   Touch(*entry);
   StatSlot& stats = LocalStats();
@@ -446,7 +422,7 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
       !entry->view_build_failed.load(std::memory_order_relaxed)) {
     // Loaded entry: spill files carry only the payload, so the first warm
     // hit repairs the decoded view (outside every lock).
-    return RebuildViewLazily(entry, entry_options, meter);
+    return RebuildViewLazily(digest, entry, entry_options, meter);
   }
   return PreparedView{entry->prepared, nullptr, ChargedBytes(*entry)};
 }
@@ -461,69 +437,21 @@ PreparedStore::Key PreparedStore::BuildKeyCounted(std::string_view problem,
 bool PreparedStore::TryGetView(const Key& key,
                                const EntryOptions& entry_options,
                                CostMeter* meter, PreparedView* out) {
-  Shard& shard = ShardFor(key.digest);
   EntryPtr entry;
   {
-    TableRef table = shard.snapshot.Acquire();
+    TableRef table = ShardFor(key.digest).snapshot.Acquire();
     auto it = table->find(key.digest);
-    if (it != table->end() && EntryMatches(*it->second, key)) {
-      entry = it->second;
-    }
-  }
-  if (entry == nullptr) {
-    // Not resident under the probe digest. If the version was re-keyed
-    // away by UpdateData and trimmed out of the MVCC window, serve the
-    // first resident successor instead of going cold — a delta-streaming
-    // reader wants the newer version, not a spurious Π rebuild of a
-    // retired one.
-    entry = ResolveLineage(key);
-    if (entry == nullptr) return false;
-    LocalStats().lineage_resolves.fetch_add(1, std::memory_order_relaxed);
+    if (it == table->end() || !EntryMatches(*it->second, key)) return false;
+    entry = it->second;
   }
   // ServeHit may still lock a stripe once per entry lifetime (the lazy
   // post-Load view repair), but the steady-state warm probe is the same
   // lock-free snapshot hit GetOrComputeView serves.
-  auto served = ServeHit(entry, entry_options, meter, nullptr,
+  auto served = ServeHit(key.digest, entry, entry_options, meter, nullptr,
                          /*locked=*/false);
   if (!served.ok()) return false;
   *out = std::move(served).value();
   return true;
-}
-
-PreparedStore::EntryPtr PreparedStore::ResolveLineage(const Key& key) const {
-  uint64_t prev = key.digest;
-  uint64_t next = 0;
-  {
-    std::lock_guard<std::mutex> lock(lineage_mutex_);
-    auto it = lineage_.find(key.digest);
-    if (it == lineage_.end() ||
-        it->second.alt_digest != AltKeyDigest(*key.bytes)) {
-      return nullptr;
-    }
-    next = it->second.successor;
-  }
-  for (int hop = 0; hop < kMaxLineageHops; ++hop) {
-    EntryPtr candidate;
-    {
-      const Shard& shard = ShardFor(next);
-      TableRef table = shard.snapshot.Acquire();
-      auto it = table->find(next);
-      if (it != table->end()) candidate = it->second;
-    }
-    if (candidate != nullptr && candidate->has_predecessor &&
-        candidate->predecessor_digest == prev) {
-      // The back-link ties the resident entry to the chain we walked: a
-      // foreign entry that merely collides on `next` fails this check.
-      return candidate;
-    }
-    // Not resident (trimmed or evicted): follow the record chain further.
-    std::lock_guard<std::mutex> lock(lineage_mutex_);
-    auto it = lineage_.find(next);
-    if (it == lineage_.end()) return nullptr;
-    prev = next;
-    next = it->second.successor;
-  }
-  return nullptr;
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
@@ -539,7 +467,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     TableRef table = shard.snapshot.Acquire();
     auto it = table->find(digest);
     if (it != table->end() && EntryMatches(*it->second, key)) {
-      return ServeHit(it->second, entry_options, meter, hit,
+      return ServeHit(digest, it->second, entry_options, meter, hit,
                       /*locked=*/false);
     }
   }
@@ -571,7 +499,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     }
   }
   if (resident != nullptr) {
-    return ServeHit(resident, entry_options, meter, hit,
+    return ServeHit(digest, resident, entry_options, meter, hit,
                     /*locked=*/true);
   }
 
@@ -643,7 +571,6 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
 
   EntryPtr entry = std::make_shared<Entry>();
   entry->key = key.bytes;
-  entry->digest = digest;
   entry->prepared =
       std::make_shared<const std::string>(std::move(prepared).value());
   // The miss winner builds the decoded view before publishing, so the
@@ -733,7 +660,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
         if (it->second->superseded.load(std::memory_order_acquire)) {
           // A concurrent delta already advanced this version: version
           // retention keeps the entry resident for stale readers, but it
-          // must not fork the lineage into two successors.
+          // must not fork the version chain into two successors.
           LocalStats().patch_fallbacks.fetch_add(1,
                                                  std::memory_order_relaxed);
           return Status::Unavailable(
@@ -765,7 +692,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
   }
   if (!status.ok()) {
     LocalStats().patch_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    // Entry untouched; new data recomputes on miss. Name the lineage hop
+    // Entry untouched; new data recomputes on miss. Name the version hop
     // the failed hook was asked to make.
     return Status(status.code(), "store.patch: Δ-patch hook failed (" +
                                      DigestTag(old_digest) + " -> " +
@@ -817,25 +744,20 @@ Status PreparedStore::UpdateData(std::string_view problem,
     }
     fresh->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                            std::memory_order_relaxed);
-    fresh->digest = new_digest;
-    fresh->predecessor_digest = old_digest;
-    fresh->has_predecessor = true;
 
     // Publish the patched version k+1 under the post-delta digest
     // (replacing a digest collision or a concurrently loaded duplicate).
-    // A re-keyed pre-delta entry is *retained* — marked superseded so
-    // answer paths skip it, but still digest-addressable so a reader
-    // pinned on version k keeps getting version-k answers instead of a
-    // spurious Π rebuild; UpdateData trims the chain below. A delta that
-    // leaves the digest unchanged replaces the entry in place.
+    // A re-keyed pre-delta entry is *retained* — marked superseded, but
+    // still digest-addressable so a reader that took its key just before
+    // the delta keeps getting version-k answers warm; the trim below keeps
+    // the window at kVersions. A delta that leaves the digest unchanged
+    // replaces the entry in place, and the replacement inherits its
+    // predecessor.
     const bool rekeyed = old_digest != new_digest;
-    if (rekeyed) {
-      // Successor forwarding first, supersede marker second (release): a
-      // reader that observes `superseded` is guaranteed to see where the
-      // lineage went.
-      old_entry->successor_digest.store(new_digest, std::memory_order_relaxed);
-      old_entry->superseded.store(true, std::memory_order_release);
-    }
+    fresh->predecessor_digest =
+        rekeyed ? old_digest : old_entry->predecessor_digest;
+    fresh->has_predecessor = rekeyed || old_entry->has_predecessor;
+    if (rekeyed) old_entry->superseded.store(true, std::memory_order_release);
     Table table = CopyTable(new_shard);
     auto dest = table.find(new_digest);
     if (dest != table.end()) {
@@ -849,59 +771,27 @@ Status PreparedStore::UpdateData(std::string_view problem,
     LocalStats().patches.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (old_digest != new_digest) {
-    // Record the forwarding hop old → new for ResolveLineage. The record
-    // stores a second, independent digest of the old key bytes so a stale
-    // probe mis-resolves only on a double hash collision. Bounded map: a
-    // sweep drops the oldest half once 2x the cap accumulates.
-    std::lock_guard<std::mutex> lock(lineage_mutex_);
-    if (lineage_.size() >= 2 * kMaxLineageRecords) {
-      const uint64_t horizon = lineage_seq_ - kMaxLineageRecords;
-      for (auto it = lineage_.begin(); it != lineage_.end();) {
-        it = it->second.seq < horizon ? lineage_.erase(it) : std::next(it);
-      }
-    }
-    lineage_[old_digest] =
-        LineageRecord{new_digest, AltKeyDigest(*old_key.bytes), lineage_seq_++};
-  }
-
-  static_assert(kVersions >= 2, "a re-key retains the pre-delta version");
-  if (old_digest != new_digest) {
-    // Trim the version window: walk the predecessor back-links from the
-    // just-superseded entry (depth 1; the fresh head is depth 0) and drop
-    // every resident version at depth >= kVersions. Steady state removes
-    // exactly one entry per delta; the hop cap bounds a corrupted walk.
-    EntryPtr cur = old_entry;
-    size_t depth = 1;
-    for (int hops = 0; hops < kMaxLineageHops && cur->has_predecessor;
-         ++hops) {
-      const uint64_t pred_digest = cur->predecessor_digest;
-      Shard& shard = ShardFor(pred_digest);
-      EntryPtr pred;
-      {
-        TableRef table = shard.snapshot.Acquire();
-        auto found = table->find(pred_digest);
-        if (found != table->end()) pred = found->second;
-      }
-      if (pred == nullptr ||
-          !pred->superseded.load(std::memory_order_acquire) ||
-          pred->successor_digest.load(std::memory_order_relaxed) !=
-              cur->digest) {
-        break;  // chain end: already trimmed, evicted, or a digest reuse
-      }
-      if (depth + 1 >= kVersions) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        Table table = CopyTable(shard);
-        auto found = table.find(pred_digest);
-        if (found != table.end() && found->second == pred) {
-          table.erase(found);
-          Uncharge(*pred);
-          LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
-          PublishTable(&shard, std::move(table));
-        }
-      }
-      cur = pred;
-      ++depth;
+  static_assert(kVersions == 2, "the trim below retains one predecessor");
+  if (old_digest != new_digest && old_entry->has_predecessor) {
+    // Trim the version window: publishing k+1 drops k−1 if it is still
+    // resident and superseded. A stream that revisits a data part re-keys
+    // k+1 onto k−1's digest; that head is never the victim, even once a
+    // concurrent delta has superseded it. A superseded entry another
+    // stream left at that digest may go too: it serves only readers pinned
+    // on it, and they go cold and recompute their own version.
+    const uint64_t pred_digest = old_entry->predecessor_digest;
+    Shard& shard = ShardFor(pred_digest);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    TableRef current = shard.snapshot.Acquire();
+    auto found = current->find(pred_digest);
+    if (found != current->end() && found->second != fresh &&
+        found->second->superseded.load(std::memory_order_acquire)) {
+      const EntryPtr pred = found->second;
+      Table table = *current;
+      table.erase(pred_digest);
+      Uncharge(*pred);
+      LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
+      PublishTable(&shard, std::move(table));
     }
   }
 
@@ -1010,12 +900,8 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
                         std::memory_order_relaxed);
   warm->size_bytes = entry->size_bytes;
   warm->spillable = entry->spillable;
-  warm->digest = entry->digest;
   warm->predecessor_digest = entry->predecessor_digest;
   warm->has_predecessor = entry->has_predecessor;
-  warm->successor_digest.store(
-      entry->successor_digest.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   warm->superseded.store(entry->superseded.load(std::memory_order_acquire),
                          std::memory_order_relaxed);
   Table fresh = *table;
@@ -1233,7 +1119,7 @@ Status PreparedStore::Spill(const std::string& dir) const {
     TableRef table = shard.snapshot.Acquire();
     for (const auto& [digest, entry] : *table) {
       // Superseded versions never spill: a restart should rehydrate the
-      // current head of each lineage, not a retired predecessor.
+      // current head of each delta stream, not a retired predecessor.
       if (!entry->spillable ||
           entry->superseded.load(std::memory_order_relaxed)) {
         continue;
@@ -1327,7 +1213,6 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
     entry->size_bytes = static_cast<size_t>(frame.size_bytes);
     entry->spillable = true;
     const uint64_t digest = Fnv1a64(*entry->key);
-    entry->digest = digest;
     Shard& shard = ShardFor(digest);
     bool admitted = false;
     {
@@ -1340,7 +1225,7 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
       if (existing != table.end() &&
           *existing->second->key == *entry->key) {
         // The resident entry for this exact key wins: it carries the live
-        // MVCC lineage metadata and possibly a rebuilt view, while the
+        // version-window metadata and possibly a rebuilt view, while the
         // file is at best an equal payload from an earlier spill. Loading
         // over it could splice a stale payload into a live version chain.
       } else {
@@ -1383,8 +1268,6 @@ PreparedStore::Stats PreparedStore::stats() const {
     stats.locked_hits += slot.locked_hits.load(std::memory_order_relaxed);
     stats.update_retries +=
         slot.update_retries.load(std::memory_order_relaxed);
-    stats.lineage_resolves +=
-        slot.lineage_resolves.load(std::memory_order_relaxed);
     stats.respill_failures +=
         slot.respill_failures.load(std::memory_order_relaxed);
     stats.load_skipped += slot.load_skipped.load(std::memory_order_relaxed);
@@ -1450,9 +1333,6 @@ void PreparedStore::Clear() {
     for (const auto& [digest, entry] : *table) Uncharge(*entry);
     PublishTable(&shard, Table{});
   }
-  std::lock_guard<std::mutex> lock(lineage_mutex_);
-  lineage_.clear();
-  lineage_seq_ = 0;
 }
 
 void PreparedStore::ResetStats() {
@@ -1469,7 +1349,6 @@ void PreparedStore::ResetStats() {
     slot.view_builds.store(0, std::memory_order_relaxed);
     slot.locked_hits.store(0, std::memory_order_relaxed);
     slot.update_retries.store(0, std::memory_order_relaxed);
-    slot.lineage_resolves.store(0, std::memory_order_relaxed);
     slot.respill_failures.store(0, std::memory_order_relaxed);
     slot.load_skipped.store(0, std::memory_order_relaxed);
     slot.load_corrupt.store(0, std::memory_order_relaxed);

@@ -79,16 +79,16 @@ uint64_t Fnv1a64(std::string_view bytes);
 ///    versions, then the oldest recency stamp. Demotion publishes a
 ///    view-less *clone* of the entry through the normal snapshot swap, so
 ///    the warm hit path never takes a lock.
-///  * **MVCC version lineage.** UpdateData publishes the post-delta Π(D)
-///    under its new digest *without* dropping the pre-delta entry: the last
-///    `kVersions` versions of a lineage stay resident (superseded but
-///    digest-addressable), so a reader holding a pre-delta Key keeps
-///    answering its pinned snapshot while deltas stream in. Once a version
-///    is trimmed out of the window, the old→successor digest chain lets
-///    TryGetView transparently resolve a stale probe to the first resident
-///    successor instead of going cold (Stats::lineage_resolves).
-///    Superseded versions count bytes individually, evict normally, and are
-///    skipped by Spill.
+///  * **MVCC version window.** UpdateData publishes the post-delta Π(D)
+///    under its new digest *without* dropping the pre-delta entry: the
+///    current version and its predecessor (`kVersions` = 2) stay resident,
+///    the predecessor superseded but digest-addressable, so a reader that
+///    took its Key just before a delta keeps answering its own version
+///    warm. Publishing k+1 drops k−1. Every read face answers exactly the
+///    version its Key names: a Key whose version has left the window
+///    misses, and the miss runs Π on that Key's own data part — never a
+///    newer version. Superseded versions count bytes individually, are the
+///    preferred eviction victims, and are skipped by Spill.
 ///  * **Persistence.** Spill serializes every spillable entry to one
 ///    serde-framed file per entry under a spill directory; Load rehydrates
 ///    a (possibly restarted) store from such a directory. Entries inserted
@@ -109,8 +109,8 @@ class PreparedStore {
     size_t byte_budget = 0;
   };
 
-  /// MVCC window: how many versions of one data lineage stay resident after
-  /// UpdateData re-keys — the current version plus one superseded
+  /// MVCC window: how many versions of one delta stream stay resident
+  /// after UpdateData re-keys — the current version plus one superseded
   /// predecessor.
   static constexpr size_t kVersions = 2;
 
@@ -146,11 +146,10 @@ class PreparedStore {
     /// blocked on its shared_future, and retried (instead of immediately
     /// degrading to recompute-on-miss).
     int64_t update_retries = 0;
-    /// TryGetView probes whose digest was no longer resident (trimmed out
-    /// of the MVCC window) but resolved through the lineage chain to a
-    /// resident successor version and were served warm — each also counts
-    /// as a hit. The stale-handle race fix's visible signature: readers
-    /// survive a re-key with zero spurious Π rebuilds.
+    /// Retired: always 0. No read forwards a Key whose version left the
+    /// MVCC window to a newer version any more; such a read misses and
+    /// answers its own version. Kept only while perfbench still reports
+    /// it as a metric; drop it with that metric.
     int64_t lineage_resolves = 0;
     /// Spill-file writes that failed — per-entry errors in a Spill pass
     /// (the pass continues; see Spill) and failed best-effort rewrites
@@ -261,18 +260,14 @@ class PreparedStore {
 
   /// Warm-only probe for the completion pipeline: serves the entry iff it
   /// is resident in the published snapshot, and *never* runs Π, blocks on
-  /// an in-flight Π, or falls back to the shard mutex. Returns true (and
-  /// fills `out`, counting one hit) on a snapshot hit; when the digest is
-  /// not resident but was re-keyed away by UpdateData, the probe resolves
-  /// through the lineage chain and serves the first resident successor
-  /// version (Stats::lineage_resolves) — the answers are then against the
-  /// newer data, which is exactly what a delta-streaming reader wants
-  /// instead of a spurious Π rebuild of a retired version. False on
-  /// anything else — the caller owns the miss (typically by parking the
-  /// work and handing the key to a preparer thread). A false return counts
-  /// nothing: the miss is charged by whichever GetOrComputeView eventually
-  /// runs Π. (GetOrComputeView itself stays strictly content-addressed: a
-  /// probe with the data in hand recomputes its exact pinned version.)
+  /// an in-flight Π, or takes a mutex on a miss. Returns true (and fills
+  /// `out`, counting one hit) on a snapshot hit — exactly the version
+  /// `key` names, as GetOrComputeView would serve it. False on anything
+  /// else, including a version that left the MVCC window: the caller owns
+  /// the miss (typically by parking the work and handing the key to a
+  /// preparer thread, whose Π runs on the key's own data part). A false
+  /// return counts nothing: the miss is charged by whichever
+  /// GetOrComputeView eventually runs Π.
   bool TryGetView(const Key& key, const EntryOptions& entry_options,
                   CostMeter* meter, PreparedView* out);
 
@@ -395,22 +390,18 @@ class PreparedStore {
     /// skip the O(|Π(D)|) rebuild attempt instead of failing it per hit.
     std::atomic<bool> view_build_failed{false};
     bool spillable = true;
-    // --- MVCC lineage ------------------------------------------------------
-    /// The digest this entry is resident under. Lets hit-path repairs
-    /// (RebuildViewLazily) find the entry's own shard even when it was
-    /// served through a lineage resolution of a different probe digest.
-    uint64_t digest = 0;
-    /// The back-link the resolver and the version-window trim verify.
+    // --- MVCC version window ---------------------------------------------
+    /// The digest of the version this one was patched from: the entry the
+    /// version-window trim drops when this entry is itself superseded.
     uint64_t predecessor_digest = 0;
     bool has_predecessor = false;
-    /// Set (with successor_digest) under the re-key critical section when
-    /// a newer version is published, or (with no successor) by Retire when
-    /// a witness upgrade moved the data part to another entry. A
-    /// superseded entry keeps serving digest-addressed probes — its
-    /// payload is still exactly Π(its data) — but leaves Contains, Spill,
-    /// and the current-version contract to its successor.
+    /// Set under the re-key critical section when a newer version is
+    /// published, or by Retire when a witness upgrade moved the data part
+    /// to another entry. A superseded entry keeps serving digest-addressed
+    /// probes — its payload is still exactly Π(its data) — but leaves
+    /// Contains and Spill, refuses further deltas, and is the preferred
+    /// eviction victim.
     std::atomic<bool> superseded{false};
-    std::atomic<uint64_t> successor_digest{0};
   };
   using EntryPtr = std::shared_ptr<Entry>;
   /// An immutable published table: digest -> shared entry. Readers probe
@@ -531,7 +522,6 @@ class PreparedStore {
     std::atomic<int64_t> view_builds{0};
     std::atomic<int64_t> locked_hits{0};
     std::atomic<int64_t> update_retries{0};
-    std::atomic<int64_t> lineage_resolves{0};
     std::atomic<int64_t> respill_failures{0};
     std::atomic<int64_t> load_skipped{0};
     std::atomic<int64_t> load_corrupt{0};
@@ -607,25 +597,19 @@ class PreparedStore {
   /// is private to the caller, so plain relaxed stores suffice).
   void AttachView(const EntryOptions& entry_options, Entry* entry,
                   CostMeter* meter);
-  /// Serves one snapshot/table hit: recency stamp, stats, meter, and the
-  /// lazy view repair when the entry was Loaded without one. Addresses the
-  /// entry by its own digest (not the probe key's), so lineage-resolved
-  /// hits repair the shard the entry actually lives in.
-  Result<PreparedView> ServeHit(const EntryPtr& entry,
+  /// Serves one snapshot/table hit on the entry resident under `digest`:
+  /// recency stamp, stats, meter, and the lazy view repair when the entry
+  /// was Loaded or demoted without one.
+  Result<PreparedView> ServeHit(uint64_t digest, const EntryPtr& entry,
                                 const EntryOptions& entry_options,
                                 CostMeter* meter, bool* hit, bool locked);
   /// Hit-path view repair (post-Load entries have no view yet): decodes
   /// outside every lock, then publishes into the shared entry iff it is
   /// still resident and nobody else won the publish race.
-  Result<PreparedView> RebuildViewLazily(const EntryPtr& entry,
+  Result<PreparedView> RebuildViewLazily(uint64_t digest,
+                                         const EntryPtr& entry,
                                          const EntryOptions& entry_options,
                                          CostMeter* meter);
-  /// Follows the lineage chain from a no-longer-resident probe digest to
-  /// the first resident successor version, or null. The first link is
-  /// guarded by a secondary digest of the probe key (a Fnv1a64 collision
-  /// must also collide the alternate hash to mis-resolve); each resident
-  /// candidate is verified through its predecessor back-link.
-  EntryPtr ResolveLineage(const Key& key) const;
   /// Sheds entries until the byte budget holds: scans the published
   /// snapshots (no locks) and sorts them into the victim order once, then
   /// first demotes hot entries to warm (view drop via DemoteView) and only
@@ -635,7 +619,7 @@ class PreparedStore {
   /// Resident bytes past Options::byte_budget (<= 0: within budget).
   int64_t BytesOver() const;
   /// Hot→warm: publishes a view-less clone of `entry` (same key, payload,
-  /// MVCC metadata and recency stamp) iff it is still the resident
+  /// version-window metadata and recency stamp) iff it is still the resident
   /// entry for `digest`. Returns the bytes freed (0 = lost the race).
   /// Readers holding the old entry keep its view alive; the clone
   /// re-promotes through the lazy view rebuild on its next hit.
@@ -654,26 +638,8 @@ class PreparedStore {
                       const std::shared_ptr<const std::string>& prepared,
                       size_t size_bytes, bool spillable) const;
 
-  /// One supersession edge of the version DAG (it is a chain per lineage):
-  /// probe digest -> the digest UpdateData re-keyed it to, plus the
-  /// alternate key hash that guards the first resolution hop.
-  struct LineageRecord {
-    uint64_t successor = 0;
-    uint64_t alt_digest = 0;
-    uint64_t seq = 0;  // insertion order, for the bounded-size sweep
-  };
-  /// Records ResolveLineage walks after a version is trimmed out of the
-  /// MVCC window. Bounded: once it doubles past kMaxLineageRecords, the
-  /// oldest half is swept (a dropped record degrades a stale probe to a
-  /// cold miss — correct, just slower).
-  static constexpr size_t kMaxLineageRecords = 4096;
-  static constexpr int kMaxLineageHops = 16;
-
   const Options options_;
   std::vector<Shard> shards_;
-  mutable std::mutex lineage_mutex_;
-  std::unordered_map<uint64_t, LineageRecord> lineage_;
-  uint64_t lineage_seq_ = 0;
   /// Last directory handed to Spill/Load, so UpdateData can respill the
   /// one patched entry without a full Spill pass. Empty = no persistence.
   mutable std::mutex spill_dir_mutex_;

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -19,11 +22,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/language.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/cost_model.h"
 #include "engine/delta.h"
 #include "engine/engine.h"
+#include "engine/pipeline.h"
 #include "engine/serve.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -753,6 +758,170 @@ TEST(CostModelEngineTest, WarmReadersRaceTheRouteSwap) {
   const PreparedStore::Stats stats = adaptive->store().stats();
   EXPECT_EQ(stats.locked_hits, 0);
   EXPECT_EQ(stats.misses, 1);  // the upgrade build, nothing else
+}
+
+// One DataHandle driven through every read face — the warm probe, the
+// pipeline, and the blocking batch — at four points of its life: cold on
+// the edge-scan witness, after traffic upgrades it to the closure, after
+// two deltas push its version out of the store's version window, and after
+// Spill -> fresh engine -> Load. Every answer is checked against the
+// reference language (Proposition 1: LanguageOfPairs on the handle's own
+// data part); a ServePipeline outcome carries no answers, so that leg
+// checks status and Π runs only.
+TEST(CostModelEngineTest, OneHandleAnswersItsOwnDataOnEveryFace) {
+  constexpr int64_t kNodes = 64;
+  const std::string data = ReachData(kNodes, 256, 1234);
+  auto engine = MakeReachEngine(/*adaptive=*/true);
+  auto entry = engine->Find(kReach);
+  ASSERT_TRUE(entry.ok());
+  const core::LanguageOfPairs reference((*entry)->problem,
+                                        (*entry)->factorization);
+
+  auto interned = engine->Intern(kReach, data);
+  ASSERT_TRUE(interned.ok()) << interned.status().ToString();
+  const auto handle =
+      std::make_shared<const DataHandle>(std::move(interned).value());
+  ASSERT_EQ(KeyWitness(handle->key), "edge-scan");
+
+  // The deltas cut every out-edge of nodes 0-1, then of nodes 2-3 (the
+  // graph is ReachData's), so queries out of those nodes answer
+  // differently on every version.
+  Rng graph_rng(1234);
+  const auto edges =
+      graph::ErdosRenyi(static_cast<graph::NodeId>(kNodes), 256,
+                        /*directed=*/true, &graph_rng)
+          .Edges();
+  auto cut = [&edges](graph::NodeId from, graph::NodeId to) {
+    DeltaBatch delta;
+    for (const auto& [u, v] : edges) {
+      if (u < from || u > to) continue;
+      DeltaOp op;
+      op.kind = DeltaOp::Kind::kEdgeDelete;
+      op.a = u;
+      op.b = v;
+      delta.ops.push_back(op);
+    }
+    return delta;
+  };
+  std::vector<std::string> queries;
+  for (int u = 0; u < 4; ++u) {
+    for (int v = 4; v < 8; ++v) {
+      queries.push_back(std::to_string(u) + "#" + std::to_string(v));
+    }
+  }
+  Rng rng(55);
+  for (std::string& q : ReachQueries(kNodes, 8, &rng)) {
+    queries.push_back(std::move(q));
+  }
+  std::vector<bool> expected;
+  for (const std::string& q : queries) {
+    auto in = reference.Contains(*handle->data, q);
+    ASSERT_TRUE(in.ok()) << in.status().ToString();
+    expected.push_back(*in);
+  }
+  int warm_divergences = 0;
+  int blocking_divergences = 0;
+  auto diverging = [&expected](const std::vector<bool>& answers) {
+    int count = 0;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      if (i >= answers.size() || answers[i] != expected[i]) ++count;
+    }
+    return count;
+  };
+  auto warm_face = [&](QueryEngine* eng) {
+    BatchResult batch;
+    auto warm = eng->TryAnswerWarm(*handle, queries, &batch);
+    EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+    if (!warm.ok() || !*warm) return false;
+    warm_divergences += diverging(batch.answers);
+    return true;
+  };
+  auto pipeline_face = [&](QueryEngine* eng) {
+    PipelineOptions options;
+    options.threads = 1;
+    options.preparers = 1;
+    ServePipeline pipeline(eng, options);
+    ServeWorkItem item;
+    item.handle = handle;
+    item.queries = queries;
+    Status status = Status::Internal("item never completed");
+    EXPECT_TRUE(pipeline
+                    .Submit(std::move(item),
+                            [&status](const ItemOutcome& outcome) {
+                              status = outcome.status;
+                            })
+                    .ok());
+    pipeline.Drain();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    const auto report = pipeline.report();
+    EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
+    return report.pi_runs;
+  };
+  auto blocking_face = [&](QueryEngine* eng) {
+    auto batch = eng->AnswerBatch(*handle, queries);
+    EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+    if (!batch.ok()) return int64_t{-1};
+    blocking_divergences += diverging(batch->answers);
+    return batch->prepare_runs;
+  };
+
+  {
+    SCOPED_TRACE("cold, on edge-scan");
+    EXPECT_FALSE(warm_face(engine.get()));
+    EXPECT_EQ(blocking_face(engine.get()), 1);  // the scan Π
+    EXPECT_TRUE(warm_face(engine.get()));
+    EXPECT_EQ(pipeline_face(engine.get()), 0);
+    EXPECT_EQ(engine->upgrades(), 0);
+  }
+  {
+    SCOPED_TRACE("after the upgrade to the closure");
+    for (int i = 0; i < 500 && engine->upgrades() == 0; ++i) {
+      ASSERT_TRUE(
+          engine->AnswerBatch(*handle, ReachQueries(kNodes, 8, &rng)).ok());
+    }
+    ASSERT_EQ(engine->upgrades(), 1);
+    ASSERT_EQ(KeyWitness(handle->current_key()), "incremental-closure");
+    EXPECT_TRUE(warm_face(engine.get()));
+    EXPECT_EQ(pipeline_face(engine.get()), 0);
+    EXPECT_EQ(blocking_face(engine.get()), 0);
+  }
+  {
+    SCOPED_TRACE("after two deltas trimmed the handle's version");
+    auto first = engine->ApplyDelta(kReach, data, cut(0, 1));
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first->patched) << first->fallback_reason.ToString();
+    auto second = engine->ApplyDelta(kReach, first->new_data, cut(2, 3));
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    ASSERT_TRUE(second->patched) << second->fallback_reason.ToString();
+    // The handle's version is gone from the window: the warm face may not
+    // answer it from a newer version.
+    EXPECT_FALSE(warm_face(engine.get()));
+    EXPECT_EQ(warm_divergences, 0) << "the warm face served a newer version";
+    // The pipeline parks the item and runs Π once, on the handle's data.
+    EXPECT_EQ(pipeline_face(engine.get()), 1);
+    EXPECT_EQ(blocking_face(engine.get()), 0);  // what the pipeline built
+    EXPECT_TRUE(warm_face(engine.get()));
+    EXPECT_EQ(KeyWitness(handle->current_key()), "incremental-closure");
+  }
+  {
+    SCOPED_TRACE("after Spill -> fresh engine -> Load");
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("pitract_one_handle_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(engine->store().Spill(dir.string()).ok());
+    auto restarted = MakeReachEngine(/*adaptive=*/true);
+    auto loaded = restarted->store().Load(dir.string());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_GE(*loaded, 1u);
+    EXPECT_TRUE(warm_face(restarted.get()));
+    EXPECT_EQ(pipeline_face(restarted.get()), 0);
+    EXPECT_EQ(blocking_face(restarted.get()), 0);
+    EXPECT_EQ(restarted->store().stats().misses, 0);
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_EQ(warm_divergences, 0);
+  EXPECT_EQ(blocking_divergences, 0);
 }
 
 }  // namespace

@@ -379,13 +379,13 @@ TEST(ServePipelineTest, WorkloadColdItemsShedWhenPendingQueueFull) {
 }
 
 // ---------------------------------------------------------------------------
-// Version-race orphan fix: a unit addressing a data part that a Δ-patch
-// re-keyed away (the exact state a parked unit wakes up to) must answer
-// warm through the store's lineage resolution — not re-park, burn its
-// requeues, and fall back to a blocking second Π.
+// A unit addressing a data part that Δ-patches re-keyed out of the store's
+// version window (the exact state a parked unit can wake up to) answers its
+// own version: it parks, one Π runs on its data, and it completes without
+// errors — it is never served from the successor version.
 // ---------------------------------------------------------------------------
 
-TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
+TEST(ServePipelineTest, TrimmedPartAnswersItsOwnVersionAfterOnePi) {
   auto engine = MakeEngine();
   std::atomic<int> computes{0};
   ProblemEntry entry;
@@ -415,8 +415,7 @@ TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
   ASSERT_TRUE(engine->Register(std::move(entry)).ok());
 
   // Warm "base", then re-key it away twice: the version window trims
-  // "base", so digest("base") now resolves only through the lineage
-  // record to its first resident successor, the patched "base+d" entry.
+  // "base", and only "base+d" (retained) and "base+d+d" stay resident.
   ASSERT_TRUE(engine
                   ->AnswerBatch("echo-delta", "base",
                                 std::vector<std::string>{"pi:base"})
@@ -452,9 +451,16 @@ TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
   const auto report = pipeline.report();
   EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
   EXPECT_EQ(report.batches, 1);
-  EXPECT_EQ(report.pi_runs, 0) << "stale unit re-ran Π instead of resolving";
-  EXPECT_EQ(computes.load(), 1);
-  EXPECT_EQ(engine->store().stats().lineage_resolves, 1);
+  EXPECT_EQ(report.pi_runs, 1) << "the stale unit's own Π";
+  EXPECT_EQ(computes.load(), 2);
+  EXPECT_EQ(engine->store().stats().lineage_resolves, 0);
+  // What that Π published is Π("base") itself, not a successor's payload.
+  auto own = engine->AnswerBatch("echo-delta", "base",
+                                 std::vector<std::string>{"pi:base+d"});
+  ASSERT_TRUE(own.ok());
+  EXPECT_TRUE(own->cache_hit);
+  EXPECT_FALSE(own->answers[0]);
+  EXPECT_EQ(computes.load(), 2);
 }
 
 // ---------------------------------------------------------------------------

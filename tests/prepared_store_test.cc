@@ -236,7 +236,29 @@ TEST(PreparedStoreUpdateTest, PatchReKeysEntryAndFixesAccounting) {
   EXPECT_EQ(store.stats().patch_fallbacks, 0);
 }
 
-TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
+/// One UpdateData step of a test delta stream: appends `suffix` to the
+/// payload while re-keying `from` to `to`.
+Status Bump(PreparedStore& store, const std::string& from,
+            const std::string& to, const std::string& suffix) {
+  return store.UpdateData("p", "w", from, to,
+                          [&suffix](std::string* prepared, CostMeter*) {
+                            *prepared += suffix;
+                            return Status::OK();
+                          }, nullptr, {});
+}
+
+/// The payload a warm-only probe of ("p", "w", data) serves, or "" on a
+/// miss.
+std::string ProbePayload(PreparedStore& store, const std::string& data) {
+  PreparedStore::PreparedView view;
+  if (!store.TryGetView(store.BuildKeyCounted("p", "w", data),
+                        PreparedStore::EntryOptions{}, nullptr, &view)) {
+    return "";
+  }
+  return *view.prepared;
+}
+
+TEST(PreparedStoreUpdateTest, RetainsVersionWindowAndTrimmedVersionMisses) {
   PreparedStore::Options options;
   options.shards = 4;
   PreparedStore store(options);
@@ -245,18 +267,10 @@ TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
                              return std::string("v0");
                            })
                   .ok());
-  auto bump = [&](const std::string& from, const std::string& to,
-                  const std::string& suffix) {
-    return store.UpdateData("p", "w", from, to,
-                            [&suffix](std::string* prepared, CostMeter*) {
-                              *prepared += suffix;
-                              return Status::OK();
-                            }, nullptr, {});
-  };
 
-  ASSERT_TRUE(bump("d0", "d1", "+1").ok());
+  ASSERT_TRUE(Bump(store, "d0", "d1", "+1").ok());
   EXPECT_EQ(store.size(), 2u);  // the v1 head plus the retained v0
-  ASSERT_TRUE(bump("d1", "d2", "+2").ok());
+  ASSERT_TRUE(Bump(store, "d1", "d2", "+2").ok());
   EXPECT_EQ(store.size(), 2u);  // v2 + v1: the window trimmed v0
   EXPECT_EQ(store.stats().evictions, 1);
 
@@ -267,30 +281,25 @@ TEST(PreparedStoreUpdateTest, RetainsVersionWindowTrimsAndResolvesLineage) {
   EXPECT_FALSE(store.Contains("p", "w", "d0"));
 
   // A reader pinned on the retained v1 keeps getting exactly v1's Π.
-  PreparedStore::Key k1 = store.BuildKeyCounted("p", "w", "d1");
-  PreparedStore::PreparedView view;
-  ASSERT_TRUE(store.TryGetView(k1, PreparedStore::EntryOptions{}, nullptr,
-                               &view));
-  EXPECT_EQ(*view.prepared, "v0+1");
+  EXPECT_EQ(ProbePayload(store, "d1"), "v0+1");
+
+  // A reader pinned on the trimmed v0 misses: no version of the stream
+  // but its own may answer it.
+  const int64_t hits = store.stats().hits;
+  EXPECT_EQ(ProbePayload(store, "d0"), "");
+  EXPECT_EQ(store.stats().hits, hits);  // a false probe counts nothing
+  EXPECT_EQ(store.stats().misses, 1);
   EXPECT_EQ(store.stats().lineage_resolves, 0);
 
-  // A reader pinned on the trimmed v0 resolves forward to the first
-  // resident successor (v1) instead of going cold.
-  PreparedStore::Key k0 = store.BuildKeyCounted("p", "w", "d0");
-  ASSERT_TRUE(store.TryGetView(k0, PreparedStore::EntryOptions{}, nullptr,
-                               &view));
-  EXPECT_EQ(*view.prepared, "v0+1");
-  EXPECT_EQ(store.stats().lineage_resolves, 1);
-
-  // The retained v1 must not accept a second delta: the lineage has one
-  // successor per version, never a fork.
-  auto forked = bump("d1", "d9", "+X");
+  // The retained v1 must not accept a second delta: each version has one
+  // successor, never a fork.
+  auto forked = Bump(store, "d1", "d9", "+X");
   EXPECT_FALSE(forked.ok());
   EXPECT_EQ(store.stats().patch_fallbacks, 1);
   EXPECT_FALSE(store.Contains("p", "w", "d9"));
 }
 
-TEST(PreparedStoreUpdateTest, TrimmedVersionStillForwardsStaleReaders) {
+TEST(PreparedStoreUpdateTest, TrimmedVersionRecomputesItsOwnPayload) {
   PreparedStore::Options options;
   options.shards = 4;
   PreparedStore store(options);
@@ -299,27 +308,93 @@ TEST(PreparedStoreUpdateTest, TrimmedVersionStillForwardsStaleReaders) {
                              return std::string("v0");
                            })
                   .ok());
-  auto bump = [&](const std::string& from, const std::string& to,
-                  const std::string& suffix) {
-    return store.UpdateData("p", "w", from, to,
-                            [&suffix](std::string* prepared, CostMeter*) {
-                              *prepared += suffix;
-                              return Status::OK();
-                            }, nullptr, {});
-  };
-  ASSERT_TRUE(bump("d0", "d1", "+1").ok());
-  ASSERT_TRUE(bump("d1", "d2", "+2").ok());
+  ASSERT_TRUE(Bump(store, "d0", "d1", "+1").ok());
+  ASSERT_TRUE(Bump(store, "d1", "d2", "+2").ok());
   EXPECT_EQ(store.size(), PreparedStore::kVersions);  // v0 was trimmed
   EXPECT_FALSE(store.Contains("p", "w", "d0"));
 
-  // The trimmed version's lineage record forwards a stale reader to the
-  // first resident successor — a consistent Π that still exists.
-  PreparedStore::Key k0 = store.BuildKeyCounted("p", "w", "d0");
-  PreparedStore::PreparedView view;
-  ASSERT_TRUE(store.TryGetView(k0, PreparedStore::EntryOptions{}, nullptr,
-                               &view));
-  EXPECT_EQ(*view.prepared, "v0+1");
-  EXPECT_EQ(store.stats().lineage_resolves, 1);
+  // The trimmed version goes cold: the warm probe misses, and the blocking
+  // admission runs Π on v0's own data — one miss, v0's payload, never a
+  // successor's.
+  EXPECT_EQ(ProbePayload(store, "d0"), "");
+  bool hit = true;
+  auto recomputed = Admit(
+      store, "p", "w", "d0",
+      [](CostMeter*) -> Result<std::string> { return std::string("v0"); },
+      nullptr, &hit);
+  ASSERT_TRUE(recomputed.ok());
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(**recomputed, "v0");
+  EXPECT_EQ(store.stats().misses, 2);
+  EXPECT_EQ(store.size(), PreparedStore::kVersions + 1);
+  EXPECT_EQ(ProbePayload(store, "d0"), "v0");
+  EXPECT_EQ(store.stats().lineage_resolves, 0);
+}
+
+// A delta stream that revisits a data part, d0 -> d1 -> d0 -> d1 -> d2: a
+// re-key onto the digest of the version just retired replaces it in
+// place, and the one-step trim never drops the head it just published.
+// Then d2 -> d2, a delta that leaves the data part unchanged (a fully
+// cancelling burst): the head is replaced in place and keeps its
+// predecessor, so the next re-key, d2 -> d3, retains the in-place head and
+// trims d1.
+TEST(PreparedStoreUpdateTest, DeltaStreamRevisitingADataPartKeepsTheWindow) {
+  PreparedStore::Options options;
+  options.shards = 4;
+  PreparedStore store(options);
+  // Default size estimate: key ("p" \x1f "w" \x1f data) + payload + the
+  // fixed per-entry overhead.
+  auto bytes = [](const std::string& payload) {
+    return std::string("p\x1fw\x1f" "d0").size() + payload.size() +
+           PreparedStore::kEntryOverheadBytes;
+  };
+  ASSERT_TRUE(Admit(store, "p", "w", "d0",
+                           [](CostMeter*) -> Result<std::string> {
+                             return std::string("v0");
+                           })
+                  .ok());
+  struct Step {
+    const char* from;
+    const char* to;
+    const char* suffix;
+    const char* retained;          // the predecessor left resident
+    const char* retained_payload;  // what it still serves
+    int64_t evictions;             // trimmed versions so far
+  };
+  const Step steps[] = {
+      {"d0", "d1", "+1", "d0", "v0", 0},
+      {"d1", "d0", "+2", "d1", "v0+1", 0},
+      {"d0", "d1", "+3", "d0", "v0+1+2", 0},
+      {"d1", "d2", "+4", "d1", "v0+1+2+3", 1},
+      {"d2", "d2", "+=", "d1", "v0+1+2+3", 1},
+      {"d2", "d3", "+5", "d2", "v0+1+2+3+4+=", 2},
+  };
+  std::string head = "v0";
+  for (const Step& step : steps) {
+    SCOPED_TRACE(std::string(step.from) + " -> " + step.to);
+    ASSERT_TRUE(Bump(store, step.from, step.to, step.suffix).ok());
+    head += step.suffix;
+
+    // Exactly the head and its predecessor are resident.
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store.bytes_resident(),
+              bytes(head) + bytes(step.retained_payload));
+    // The head is never trimmed and is the only current version.
+    EXPECT_EQ(ProbePayload(store, step.to), head);
+    for (const char* data : {"d0", "d1", "d2", "d3"}) {
+      EXPECT_EQ(store.Contains("p", "w", data), std::string(data) == step.to)
+          << data;
+    }
+    // The retained predecessor serves its own payload.
+    EXPECT_EQ(ProbePayload(store, step.retained), step.retained_payload);
+    // Re-keying onto the retired version's digest replaced it; only the
+    // steps two re-keys past a version trim it.
+    EXPECT_EQ(store.stats().evictions, step.evictions);
+  }
+  EXPECT_EQ(ProbePayload(store, "d0"), "");
+  EXPECT_EQ(ProbePayload(store, "d1"), "");
+  EXPECT_EQ(store.stats().patches, 6);
+  EXPECT_EQ(store.stats().misses, 1);
 }
 
 TEST(PreparedStoreUpdateTest, MissingEntryAndFailingPatchFallBack) {
@@ -750,7 +825,7 @@ TEST(PreparedStorePersistenceTest, RespillDropsStaleFilesFromEarlierSpills) {
 // Satellite of the version-race fix: after a Δ-patch re-keys an entry,
 // the spill directory must hold exactly the post-delta head, and loading
 // that directory back into the *live* store must not clobber the resident
-// MVCC lineage (the resident entry carries the superseded/predecessor
+// version window (the resident entry carries the superseded/predecessor
 // metadata the on-disk frame does not).
 TEST(PreparedStorePersistenceTest, LoadAfterRespillSkipsResidentHead) {
   const std::string dir = UniqueTempDir("load_respill");
